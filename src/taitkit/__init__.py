@@ -12,7 +12,6 @@ from .codecs import (
 from .diagram import (
     Color,
     Coloring,
-    Dart,
     Diagram,
     Region,
     build_from_crossing_list,

@@ -1,34 +1,26 @@
 """Command-line harness: identity verification, orbit computation, and
 flype-relatedness checks over diagram tables.
 
-Exit codes: 0 success, 1 a verification check failed, 2 input error,
-3 inconclusive (a search limit was hit).
+Exit codes: 0 success, 1 a verification check failed, 2 input error (an
+unreadable table, an unknown entry, or a ``DiagramError`` raised on the
+input diagrams), 3 inconclusive (a search limit was hit).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .codecs import DiagramDocument, SchemaError, load_table
-from .diagram import DiagramError, PreconditionFailed
-from .goeritz import NotAlternating, check_identities
+from .diagram import DiagramError
+from .goeritz import check_identities
 from .orbit import Relation, flype_orbit, is_flype_related
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("TAITKIT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load(path: str) -> list[DiagramDocument]:
@@ -59,18 +51,12 @@ def cmd_invariants(input_path: str, output_path: str | None) -> int:
             report = check_identities(doc.build())
             return {"name": doc.name, "pass": report.all_passed,
                     "report": report.to_json()}
-        except (DiagramError, NotAlternating) as exc:
+        except DiagramError as exc:
             return {"name": doc.name, "pass": False,
                     "report": [{"check": "preconditions", "pass": False,
                                 "detail": str(exc)}]}
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, docs))
-    else:
-        results = [run(doc) for doc in docs]
-
+    results = [run(doc) for doc in docs]
     text = json.dumps(results, indent=1)
     if output_path:
         with open(output_path, "w", encoding="utf-8") as fh:
@@ -91,7 +77,7 @@ def cmd_orbit(input_path: str, name: str, max_nodes: int, max_depth: int,
     try:
         report = flype_orbit(doc.build(), max_nodes=max_nodes, max_depth=max_depth,
                              include_reflection=include_mirror)
-    except PreconditionFailed as exc:
+    except DiagramError as exc:
         return _fail(f"{name}: {exc}")
     text = report.dumps()
     if output_path:
@@ -115,7 +101,7 @@ def cmd_flype_check(input_path: str, name_a: str, name_b: str,
     try:
         relation = is_flype_related(doc_a.build(), doc_b.build(),
                                     max_nodes=max_nodes, max_depth=max_depth)
-    except PreconditionFailed as exc:
+    except DiagramError as exc:
         return _fail(f"{exc}")
     print(relation.describe())
     if relation.verdict is Relation.NOT_RELATED_WITHIN and relation.truncated:

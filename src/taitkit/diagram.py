@@ -78,17 +78,6 @@ class Color(Enum):
 
 
 @dataclass(frozen=True)
-class Dart:
-    """One edge end: ``id == 4*crossing + slot``; ``partner`` is the other
-    end of the same edge."""
-
-    id: int
-    crossing: int
-    slot: int
-    partner: int
-
-
-@dataclass(frozen=True)
 class Region:
     """A complementary region, given by its face trace.
 
@@ -146,12 +135,6 @@ class Diagram:
         return 4 * crossing + (slot & 3)
 
     @property
-    def darts(self) -> tuple[Dart, ...]:
-        return tuple(
-            Dart(d, d >> 2, d & 3, self.partner[d]) for d in range(self.num_darts)
-        )
-
-    @property
     def components(self) -> dict[int, tuple[int, ...]]:
         """Component index -> sorted edge labels of that component."""
         out: dict[int, set[int]] = {}
@@ -167,15 +150,6 @@ class Diagram:
             if d < p:
                 out[self.edge_label[d]] = (d, p)
         return out
-
-    def strand_continuation(self, dart: int) -> int:
-        """Walk along ``dart`` to the far end and pass straight through
-        that crossing; returns the outgoing dart there."""
-        arrive = self.partner[dart]
-        return self.dart(arrive >> 2, (arrive & 3) + 2)
-
-    def over_pair(self, crossing: int) -> tuple[int, int]:
-        return (0, 2) if self.over_even[crossing] else (1, 3)
 
     def is_over_dart(self, dart: int) -> bool:
         return ((dart & 3) % 2 == 0) == self.over_even[dart >> 2]

@@ -30,7 +30,7 @@ from .diagram import (
 )
 
 
-class InvalidSite(Exception):
+class InvalidSite(DiagramError):
     pass
 
 

@@ -14,15 +14,16 @@ first homology of the chessboard surface of the *opposite* color; the
 dimensions match because a connected ``r``-region chessboard on an
 ``n``-crossing diagram has first Betti number ``n - r + 1``.
 
-All arithmetic is exact: signatures come from a rational symmetric
-congruence diagonalization with symmetric pivot swaps and hyperbolic
-2x2 steps, never from floating point.
+All arithmetic is exact: inertia and determinant of a form both come from
+one rational symmetric congruence diagonalization with symmetric pivot
+swaps and hyperbolic 2x2 steps, run at most once per form, never from
+floating point.  Each diagram's two forms are built once per analysis.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -30,24 +31,20 @@ from .diagram import (
     Color,
     Coloring,
     Diagram,
+    DiagramError,
     PreconditionFailed,
     color_chessboard,
     crossing_signs,
     is_alternating,
     is_reduced,
-    writhe,
 )
 
 
-class NotConnectedDiagram(Exception):
+class DisconnectedChessboard(DiagramError):
     pass
 
 
-class DisconnectedChessboard(Exception):
-    pass
-
-
-class NotAlternating(Exception):
+class NotAlternating(DiagramError):
     pass
 
 
@@ -63,6 +60,11 @@ class SymmetricIntForm:
     """A symmetric integer matrix; dimension 0 is the empty form."""
 
     entries: tuple[tuple[int, ...], ...]
+    # ``_eliminate(entries)``, filled in on first use.  A declared field, not
+    # a cached_property: writing into the instance ``__dict__`` would slow
+    # every later attribute read, and the unit search reads them in its loop.
+    _elimination_result: tuple[int, int, int, int] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.entries)
@@ -84,23 +86,7 @@ class SymmetricIntForm:
 
     def determinant(self) -> int:
         """Exact determinant (empty form has determinant 1)."""
-        a = [[Fraction(x) for x in row] for row in self.entries]
-        m = self.dim
-        det = Fraction(1)
-        for k in range(m):
-            piv = next((i for i in range(k, m) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                det = -det
-            det *= a[k][k]
-            for i in range(k + 1, m):
-                factor = a[i][k] / a[k][k]
-                for j in range(k, m):
-                    a[i][j] -= factor * a[k][j]
-        assert det.denominator == 1
-        return int(det)
+        return self._elimination[3]
 
     def evaluate(self, v: tuple[int, ...]) -> int:
         """Self-pairing of the integer vector ``v``."""
@@ -110,17 +96,26 @@ class SymmetricIntForm:
             for j in range(self.dim)
         )
 
+    @property
+    def _elimination(self) -> tuple[int, int, int, int]:
+        if self._elimination_result is None:
+            object.__setattr__(self, "_elimination_result", _eliminate(self.entries))
+        return self._elimination_result
 
-def signature(f: SymmetricIntForm) -> tuple[int, int, int]:
-    """Inertia ``(positive, negative, zero)`` of the real form, exactly.
 
-    Symmetric congruence diagonalization over the rationals.  A zero
-    diagonal with a nonzero off-diagonal entry is handled as a hyperbolic
-    pair contributing (+1, -1).
+def _eliminate(entries: tuple[tuple[int, ...], ...]) -> tuple[int, int, int, int]:
+    """``(positive, negative, zero, determinant)`` from one symmetric
+    congruence diagonalization over the rationals.
+
+    Each nonzero diagonal pivot contributes its sign and its value.  A
+    zero diagonal with a nonzero off-diagonal entry ``b`` is handled as
+    a hyperbolic pair contributing (+1, -1) and ``-b**2``.  An all-zero
+    remainder is the kernel and makes the determinant 0.
     """
-    m = f.dim
-    a = [[Fraction(x) for x in row] for row in f.entries]
+    m = len(entries)
+    a = [[Fraction(x) for x in row] for row in entries]
     pos = neg = zero = 0
+    det = Fraction(1)
 
     def swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -138,6 +133,7 @@ def signature(f: SymmetricIntForm) -> tuple[int, int, int]:
                 pos += 1
             else:
                 neg += 1
+            det *= d
             for i in range(k + 1, m):
                 for j in range(k + 1, m):
                     a[i][j] -= a[i][k] * a[k][j] / d
@@ -149,6 +145,7 @@ def signature(f: SymmetricIntForm) -> tuple[int, int, int]:
         )
         if off is None:
             zero += m - k
+            det = Fraction(0)
             break
         i0, j0 = off
         if i0 != k:
@@ -158,11 +155,19 @@ def signature(f: SymmetricIntForm) -> tuple[int, int, int]:
         b = a[k][k + 1]
         pos += 1
         neg += 1
+        det *= -b * b
         for i in range(k + 2, m):
             for j in range(k + 2, m):
                 a[i][j] -= (a[i][k] * a[k + 1][j] + a[i][k + 1] * a[k][j]) / b
         k += 2
-    return pos, neg, zero
+    if det.denominator != 1:
+        raise ArithmeticError(f"integer form has non-integer determinant {det}")
+    return pos, neg, zero, int(det)
+
+
+def signature(f: SymmetricIntForm) -> tuple[int, int, int]:
+    """Inertia ``(positive, negative, zero)`` of the real form, exactly."""
+    return f._elimination[:3]
 
 
 def definiteness(f: SymmetricIntForm) -> Definiteness:
@@ -208,13 +213,7 @@ def _color_diagonal(
 
 
 def goeritz_matrix(d: Diagram, coloring: Coloring, color: Color) -> SymmetricIntForm:
-    """The Goeritz form built from the regions of the given color.
-
-    Raises NotConnectedDiagram for the (defensively checked) disconnected
-    case; construction already rejects split diagrams.
-    """
-    if d.n == 0:
-        raise NotConnectedDiagram("empty diagram")
+    """The Goeritz form built from the regions of the given color."""
     region_ids = [r.id for r in coloring.regions_of(color)]
     index = {rid: i for i, rid in enumerate(region_ids)}
     m = len(region_ids)
@@ -253,11 +252,29 @@ def beta1_chessboard(d: Diagram, coloring: Coloring, color: Color) -> int:
     """First Betti number of the chessboard surface of the given color."""
     if not _chessboard_connected(d, coloring, color):
         raise DisconnectedChessboard(f"{color.value} chessboard is not connected")
-    r = coloring.count(color)
-    b1 = d.n - r + 1
-    # the same surface is presented by the form built from the other color
-    assert b1 == goeritz_matrix(d, coloring, color.opposite()).dim
-    return b1
+    return d.n - coloring.count(color) + 1
+
+
+def _surfaces(d: Diagram, why: str) -> tuple[
+        Coloring, dict[Color, SymmetricIntForm], dict[Color, Definiteness], int, int]:
+    """The chessboard facts shared by the summaries and the identity checks.
+
+    Returns ``(coloring, forms, defs, s_b, s_w)``: ``forms[color]`` is the
+    form of the ``color`` chessboard surface (built from the opposite
+    color's regions), ``defs[color]`` its definiteness, and the slopes
+    come from one pass over the crossing signs.  Raises NotAlternating
+    with the message ``why``.
+    """
+    if not is_alternating(d):
+        raise NotAlternating(why)
+    coloring = color_chessboard(d)
+    forms = {color: goeritz_matrix(d, coloring, color.opposite())
+             for color in (Color.BLACK, Color.WHITE)}
+    defs = {color: definiteness(f) for color, f in forms.items()}
+    signs = crossing_signs(d).values()
+    s_b = 2 * sum(1 for s in signs if s > 0)
+    s_w = -2 * sum(1 for s in signs if s < 0)
+    return coloring, forms, defs, s_b, s_w
 
 
 @dataclass(frozen=True)
@@ -284,14 +301,8 @@ def chessboard_summaries(d: Diagram) -> tuple[ChessboardSummary, ChessboardSumma
     Requires a connected alternating diagram whose two forms are definite
     of opposite signs.
     """
-    if not is_alternating(d):
-        raise NotAlternating("chessboard summaries need an alternating diagram")
-    coloring = color_chessboard(d)
-    form_of_surface = {
-        color: goeritz_matrix(d, coloring, color.opposite())
-        for color in (Color.BLACK, Color.WHITE)
-    }
-    defs = {color: definiteness(f) for color, f in form_of_surface.items()}
+    coloring, forms, defs, s_b, s_w = _surfaces(
+        d, "chessboard summaries need an alternating diagram")
     by_def = {v: k for k, v in defs.items()}
     if set(defs.values()) != {Definiteness.POSITIVE, Definiteness.NEGATIVE}:
         raise PreconditionFailed(
@@ -299,39 +310,31 @@ def chessboard_summaries(d: Diagram) -> tuple[ChessboardSummary, ChessboardSumma
             f"chessboard forms are {defs[Color.BLACK].value}/{defs[Color.WHITE].value}, "
             "expected one positive and one negative",
         )
-    signs = crossing_signs(d)
-    positive = sum(1 for s in signs.values() if s > 0)
-    negative = sum(1 for s in signs.values() if s < 0)
-    s_b, s_w = 2 * positive, -2 * negative
 
     def summary(label: Color, anchor: Color, slope: int) -> ChessboardSummary:
         return ChessboardSummary(
             color=label,
             anchor_color=anchor,
             beta1=beta1_chessboard(d, coloring, anchor),
-            form=form_of_surface[anchor],
+            form=forms[anchor],
             definiteness=defs[anchor],
             slope=slope,
         )
 
-    b = summary(Color.BLACK, by_def[Definiteness.POSITIVE], s_b)
-    w = summary(Color.WHITE, by_def[Definiteness.NEGATIVE], s_w)
-    assert b.beta1 == b.form.dim and w.beta1 == w.form.dim
-    return b, w
+    return (summary(Color.BLACK, by_def[Definiteness.POSITIVE], s_b),
+            summary(Color.WHITE, by_def[Definiteness.NEGATIVE], s_w))
 
 
 def slopes(d: Diagram) -> tuple[int, int]:
     """Chessboard slopes ``(s_B, s_W)`` from the crossing signs.
 
     ``s_B = 2 * (#positive crossings)`` and ``s_W = -2 * (#negative)``,
-    with B the positive-definite chessboard.  Postconditions
-    ``(s_B - s_W) / 2 == n`` and ``(s_B + s_W) / 2 == writhe`` are checked.
+    with B the positive-definite chessboard.  Every crossing is positive
+    or negative, so ``(s_B - s_W) / 2 == n`` and ``(s_B + s_W) / 2`` is
+    the writhe.
     """
     b, w = chessboard_summaries(d)
-    s_b, s_w = b.slope, w.slope
-    assert (s_b - s_w) // 2 == d.n
-    assert (s_b + s_w) // 2 == writhe(d)
-    return s_b, s_w
+    return b.slope, w.slope
 
 
 # --------------------------------------------------------------------------
@@ -400,13 +403,9 @@ def check_identities(d: Diagram) -> ValidationReport:
     and neither form represents +-1 (bounded search); (e) both forms have
     the same determinant up to sign.
     """
-    if not is_alternating(d):
-        raise NotAlternating("identity checks are stated for alternating diagrams")
-    coloring = color_chessboard(d)
-    form_black_surface = goeritz_matrix(d, coloring, Color.WHITE)
-    form_white_surface = goeritz_matrix(d, coloring, Color.BLACK)
-    def_black = definiteness(form_black_surface)
-    def_white = definiteness(form_white_surface)
+    coloring, forms, defs, s_b, s_w = _surfaces(
+        d, "identity checks are stated for alternating diagrams")
+    def_black, def_white = defs[Color.BLACK], defs[Color.WHITE]
     checks: list[CheckResult] = []
 
     dichotomy = {def_black, def_white} == {
@@ -419,9 +418,6 @@ def check_identities(d: Diagram) -> ValidationReport:
         f"anchor-black surface {def_black.value}, anchor-white surface {def_white.value}",
     ))
 
-    signs = crossing_signs(d)
-    s_b = 2 * sum(1 for s in signs.values() if s > 0)
-    s_w = -2 * sum(1 for s in signs.values() if s < 0)
     try:
         beta_sum = (beta1_chessboard(d, coloring, Color.BLACK)
                     + beta1_chessboard(d, coloring, Color.WHITE))
@@ -442,8 +438,7 @@ def check_identities(d: Diagram) -> ValidationReport:
         checks.append(CheckResult(
             "slope_crossing_count", True, "not applicable: diagram not reduced"))
 
-    unit = (_has_unit_self_pairing(form_black_surface)
-            or _has_unit_self_pairing(form_white_surface))
+    unit = any(_has_unit_self_pairing(f) for f in forms.values())
     checks.append(CheckResult(
         "reduced_no_unit_self_pairing",
         reduced and not unit,
@@ -451,8 +446,8 @@ def check_identities(d: Diagram) -> ValidationReport:
         "(bounded search over entries in [-2, 2])",
     ))
 
-    det_b = form_black_surface.determinant()
-    det_w = form_white_surface.determinant()
+    det_b = forms[Color.BLACK].determinant()
+    det_w = forms[Color.WHITE].determinant()
     checks.append(CheckResult(
         "determinants_agree",
         abs(det_b) == abs(det_w),

@@ -19,11 +19,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .diagram import (
-    Diagram,
-    mirror_diagram,
-    writhe,
-)
+from .diagram import Diagram, mirror_diagram
 from .flype import FlypeSite, _require_preconditions, apply_flype, find_flype_sites
 from .goeritz import chessboard_summaries
 
@@ -86,7 +82,7 @@ def invariant_vector(d: Diagram) -> dict[str, int]:
     b, w = chessboard_summaries(d)
     return {
         "crossing_number": d.n,
-        "writhe": writhe(d),
+        "writhe": (b.slope + w.slope) // 2,
         "slope_B": b.slope,
         "slope_W": w.slope,
         "beta1_B": b.beta1,

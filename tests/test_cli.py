@@ -1,9 +1,13 @@
 import json
 
+import pytest
+
 from taitkit.cli import main
 from taitkit.codecs import BUNDLED_TABLE
 
 from importlib import resources
+
+from conftest import GRANNY_PD
 
 TABLE_PATH = str(resources.files("taitkit.data").joinpath(BUNDLED_TABLE))
 
@@ -39,16 +43,6 @@ def test_invariants_fail_on_kink(tmp_path):
 
 def test_invariants_missing_file():
     assert run(["invariants", "--input", "/no/such/file.json"]) == 2
-
-
-def test_invariants_threaded(tmp_path, monkeypatch):
-    monkeypatch.setenv("TAITKIT_THREADS", "4")
-    out1 = tmp_path / "r1.json"
-    out2 = tmp_path / "r2.json"
-    assert run(["invariants", "--input", TABLE_PATH, "--output", str(out1)]) == 0
-    monkeypatch.setenv("TAITKIT_THREADS", "1")
-    assert run(["invariants", "--input", TABLE_PATH, "--output", str(out2)]) == 0
-    assert out1.read_text() == out2.read_text()
 
 
 def test_orbit_command(tmp_path):
@@ -93,3 +87,34 @@ def test_flype_check_inconclusive_under_adversarial_limits(capsys):
                 "--a", "8_8", "--b", "8_8-flyped", "--max-nodes", "1"])
     assert code == 3
     assert "NotRelatedWithin" in capsys.readouterr().out
+
+
+def non_alternating_table(tmp_path):
+    """The granny knot with crossing 0 switched, next to the trefoil."""
+    table = tmp_path / "mixed.json"
+    table.write_text(json.dumps([
+        {"name": "switched", "pd": [[4, 2, 5, 1]] + [list(t) for t in GRANNY_PD[1:]],
+         "tags": {}},
+        {"name": "3_1", "pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]], "tags": {}},
+    ]))
+    return str(table)
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--name", "switched"],
+    ["flype-check", "--a", "switched", "--b", "3_1"],
+])
+def test_non_alternating_is_input_error(tmp_path, capsys, argv):
+    table = non_alternating_table(tmp_path)
+    assert run(argv[:1] + ["--input", table] + argv[1:]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("taitkit: ")
+
+
+def test_invariants_non_alternating_reports_precondition(tmp_path):
+    out = tmp_path / "report.json"
+    table = non_alternating_table(tmp_path)
+    assert run(["invariants", "--input", table, "--output", str(out)]) == 1
+    report = {entry["name"]: entry for entry in json.loads(out.read_text())}
+    assert report["3_1"]["pass"]
+    assert report["switched"]["report"][0]["check"] == "preconditions"

@@ -143,12 +143,14 @@ def test_single_component_reversal_changes_only_orientation(hopf):
 
 def test_dart_invariants(table_diagrams):
     for d in table_diagrams.values():
-        darts = d.darts
-        for dart in darts:
-            assert dart.partner != dart.id
-            assert darts[dart.partner].partner == dart.id
+        assert len(d.partner) == d.num_darts
+        for dart, p in enumerate(d.partner):
+            assert p != dart
+            assert d.partner[p] == dart
         for c in range(d.n):
-            assert sorted(x.slot for x in darts[4 * c:4 * c + 4]) == [0, 1, 2, 3]
+            darts = [d.dart(c, k) for k in range(4)]
+            assert [d.crossing_of(x) for x in darts] == [c] * 4
+            assert sorted(d.slot_of(x) for x in darts) == [0, 1, 2, 3]
 
 
 def test_components_partition_edges(hopf, trefoil):

@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taitkit.codecs import parse_gauss
 from taitkit.diagram import Color, color_chessboard, is_reduced, writhe
+from taitkit.form_ops import _det
 from taitkit.goeritz import (
     Definiteness,
     NotAlternating,
@@ -116,6 +119,52 @@ def test_definiteness_matches_oracle_on_small_forms():
                     rows[i][j] = rows[j][i] = next(it)
             f = SymmetricIntForm.from_rows(rows)
             assert definiteness(f) is oracle_definiteness(f), rows
+            assert f.determinant() == _det(rows), rows
+
+
+@st.composite
+def small_symmetric_rows(draw):
+    """Symmetric rows of dim 3-4 with entries in [-3, 3], drawn in shapes
+    that reach every branch of the elimination: any entries, an all-zero
+    diagonal (hyperbolic steps), a repeated basis vector (two equal rows,
+    so singular) and a dominant diagonal (mostly definite)."""
+    dim = draw(st.integers(3, 4))
+    shape = draw(st.sampled_from(["any", "zero_diagonal", "repeated", "dominant"]))
+    off = st.integers(-1, 1) if shape == "dominant" else st.integers(-3, 3)
+    diagonal = draw(st.sampled_from([3, -3])) if shape == "dominant" else None
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            rows[i][j] = rows[j][i] = draw(off)
+    for i in range(dim):
+        if shape == "zero_diagonal":
+            rows[i][i] = 0
+        elif shape == "dominant":
+            rows[i][i] = diagonal
+    if shape == "repeated":
+        index = list(range(dim - 1)) + [0]
+        rows = [[rows[a][b] for b in index] for a in index]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_symmetric_rows())
+@example([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+@example([[0, 0, 0, 0], [0, 0, 2, 0], [0, 2, 0, 0], [0, 0, 0, 0]])
+@example([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+@example([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+@example([[-2, 1, 0, 0], [1, -2, 1, 1], [0, 1, -2, 0], [0, 1, 0, -2]])
+@example([[1, -1, 1], [-1, 0, -1], [1, -1, 1]])
+def test_elimination_matches_oracles_on_dim_3_and_4(rows):
+    f = SymmetricIntForm.from_rows(rows)
+    det = _det(rows)
+    assert f.determinant() == det
+    if det == 0:
+        # any kernel classifies the form Degenerate; the oracle calls a
+        # singular form Indefinite when it takes both signs
+        assert definiteness(f) is Definiteness.DEGENERATE
+    else:
+        assert definiteness(f) is oracle_definiteness(f)
 
 
 def test_beta1(trefoil, fig8):
