@@ -29,10 +29,8 @@ Diagrams are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 
 class DiagramError(Exception):
@@ -110,6 +108,13 @@ class Diagram:
     edge_label: tuple[int, ...]
     forward: tuple[bool, ...]
     component: tuple[int, ...]
+    # ``faces`` and ``region_of_dart``, filled in on first use.  Declared
+    # fields, not cached_properties: writing new keys into the instance
+    # ``__dict__`` would slow every later attribute read on the diagram.
+    _faces: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _region_of_dart: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     # -- basic dart bookkeeping -------------------------------------------
 
@@ -156,31 +161,36 @@ class Diagram:
 
     # -- faces -------------------------------------------------------------
 
-    @cached_property
+    @property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of ``d -> rot^-1(partner(d))``, each a region's corner set."""
-        seen = [False] * self.num_darts
-        out: list[tuple[int, ...]] = []
-        for start in range(self.num_darts):
-            if seen[start]:
-                continue
-            orbit = []
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                orbit.append(d)
-                p = self.partner[d]
-                d = self.dart(p >> 2, (p & 3) - 1)
-            out.append(tuple(orbit))
-        return tuple(out)
+        if self._faces is None:
+            seen = [False] * self.num_darts
+            out: list[tuple[int, ...]] = []
+            for start in range(self.num_darts):
+                if seen[start]:
+                    continue
+                orbit = []
+                d = start
+                while not seen[d]:
+                    seen[d] = True
+                    orbit.append(d)
+                    p = self.partner[d]
+                    d = self.dart(p >> 2, (p & 3) - 1)
+                out.append(tuple(orbit))
+            object.__setattr__(self, "_faces", tuple(out))
+        return self._faces
 
-    @cached_property
+    @property
     def region_of_dart(self) -> tuple[int, ...]:
-        out = [0] * self.num_darts
-        for i, face in enumerate(self.faces):
-            for d in face:
-                out[d] = i
-        return tuple(out)
+        """Index in ``faces`` of the region holding each dart's corner."""
+        if self._region_of_dart is None:
+            out = [0] * self.num_darts
+            for i, face in enumerate(self.faces):
+                for d in face:
+                    out[d] = i
+            object.__setattr__(self, "_region_of_dart", tuple(out))
+        return self._region_of_dart
 
     # -- orientation -------------------------------------------------------
 
@@ -432,27 +442,20 @@ def is_reduced(d: Diagram) -> bool:
 
 def is_prime_diagram(d: Diagram) -> bool:
     """True when no two edges can be cut to split the crossing graph into
-    two parts that both contain a crossing."""
-    if d.n <= 1:
-        return True
-    edges = list(d.edges().values())
-    for (a1, b1), (a2, b2) in itertools.combinations(edges, 2):
-        banned = {a1, b1, a2, b2}
-        seen = {0}
-        stack = [0]
-        while stack:
-            c = stack.pop()
-            for k in range(4):
-                dart = 4 * c + k
-                if dart in banned:
-                    continue
-                c2 = d.partner[dart] >> 2
-                if c2 not in seen:
-                    seen.add(c2)
-                    stack.append(c2)
-        if len(seen) < d.n:
-            return False
-    return True
+    two parts that both contain a crossing.
+
+    Checked in O(E) by the face criterion: the diagram is prime exactly
+    when no two distinct edges separate the same two regions.  A 2-edge
+    cut of a plane graph is a 2-cycle of its dual, and the crossing graph
+    is 4-regular, so it has no bridge and every cut of two edges is
+    minimal; conversely the curve through the two regions across both
+    edges leaves an end crossing of each edge on either side.
+    """
+    rof = d.region_of_dart
+    edges = d.edges().values()
+    sides = {(rof[x], rof[y]) if rof[x] < rof[y] else (rof[y], rof[x])
+             for x, y in edges}
+    return len(sides) == len(edges)
 
 
 def crossing_signs(d: Diagram) -> dict[int, int]:

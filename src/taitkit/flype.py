@@ -322,9 +322,10 @@ def apply_flype(d: Diagram, site: FlypeSite) -> Diagram:
     except DiagramError as exc:
         raise InvalidSite(f"rewrite is not a sphere diagram: {exc}") from exc
 
-    if is_alternating(d) and not is_alternating(out):
+    # the parent's predicate matters only when the child fails it
+    if not is_alternating(out) and is_alternating(d):
         raise InvalidSite("rewrite broke alternation; site was not a flype circle")
-    if is_reduced(d) and not is_reduced(out):
+    if not is_reduced(out) and is_reduced(d):
         raise InvalidSite("rewrite introduced a nugatory crossing")
     if writhe(out) != writhe(d):
         raise InvalidSite("rewrite changed the writhe; site was not a flype circle")

@@ -173,8 +173,10 @@ def signature(f: SymmetricIntForm) -> tuple[int, int, int]:
 def definiteness(f: SymmetricIntForm) -> Definiteness:
     """Exact classification of the real signature.
 
-    The empty form is classified Positive by convention; it only arises
-    from chessboards that are disks.
+    Every singular form is Degenerate, also one that takes both signs
+    (such as ``[[1, -1, 1], [-1, 0, -1], [1, -1, 1]]``); Indefinite means
+    nonsingular with both signs.  The empty form is classified Positive
+    by convention; it only arises from chessboards that are disks.
     """
     if f.dim == 0:
         return Definiteness.POSITIVE

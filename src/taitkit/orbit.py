@@ -5,7 +5,9 @@ traversals, of a breadth-first relabeling code of the combinatorial map
 together with per-crossing overstrand bits.  Two diagrams get equal codes
 exactly when they are isomorphic as sphere maps with over/under data
 under orientation-preserving isomorphism; mirror images are distinct
-unless reflection is explicitly requested.
+unless reflection is explicitly requested.  The minimum is found without
+building every rooted code: each one is compared with the smallest so far
+while it is built, and a root is abandoned at its first larger entry.
 
 ``flype_orbit`` closes a diagram under all flypes by breadth-first search
 with node and depth limits, deduplicating by canonical code and checking
@@ -38,43 +40,80 @@ class CanonicalCode:
         return "c" + digest.hexdigest()[:10]
 
 
-def _rooted_code(d: Diagram, root: int) -> tuple[int, ...]:
-    """Traversal code with the root dart's crossing first and its slot as
-    the reference direction."""
-    order: list[int] = [root >> 2]
-    label = {root >> 2: 0}
-    ref = {root >> 2: root & 3}
+def _rooted_code_below(partner: tuple[int, ...], over: list[int], n: int,
+                       root: int, best: list[int]) -> list[int] | None:
+    """The traversal code rooted at ``root`` if it is smaller than ``best``,
+    else None.
+
+    The root dart's crossing comes first and its slot is the reference
+    direction.  Each crossing contributes its overstrand bit at the
+    reference slot, then ``4 * label + relative slot`` of the far end of
+    each of its four edges, counterclockwise from the reference slot;
+    crossings are labelled in order of first discovery.  The code is
+    compared with ``best`` entry by entry while it is built: the root is
+    abandoned at the first larger entry, and after the first smaller one
+    the code is finished without comparing.  An empty ``best`` means no
+    code yet, and the code is built in full.
+    """
+    c = root >> 2
+    label = [-1] * n
+    ref = [0] * n
+    label[c] = 0
+    ref[c] = root & 3
+    order = [c]
     code: list[int] = []
-    i = 0
-    while i < len(order):
-        c = order[i]
-        i += 1
-        code.append(1 if d.is_over_dart(d.dart(c, ref[c])) else 0)
+    tied = bool(best)
+    for c in order:  # grows while the traversal discovers crossings
+        r = ref[c]
+        base = 4 * c
+        x = over[c] ^ (r & 1)
+        if tied:
+            b = best[len(code)]
+            if x != b:
+                if x > b:
+                    return None
+                tied = False
+        code.append(x)
         for k in range(4):
-            p = d.partner[d.dart(c, ref[c] + k)]
-            c2, s2 = p >> 2, p & 3
-            if c2 not in label:
+            p = partner[base + ((r + k) & 3)]
+            c2 = p >> 2
+            if label[c2] < 0:
                 label[c2] = len(order)
-                ref[c2] = s2
+                ref[c2] = p & 3
                 order.append(c2)
-            code.append(label[c2] * 4 + ((s2 - ref[c2]) % 4))
-    return tuple(code)
+            x = 4 * label[c2] + ((p - ref[c2]) & 3)
+            if tied:
+                b = best[len(code)]
+                if x != b:
+                    if x > b:
+                        return None
+                    tied = False
+            code.append(x)
+    return None if tied else code
 
 
 def canonical_code(d: Diagram, include_reflection: bool = False) -> CanonicalCode:
     """Minimal rooted code over all starting darts; with
-    ``include_reflection`` the mirror's codes compete too."""
+    ``include_reflection`` the mirror's codes compete too.
+
+    Each rooted code is compared with the smallest one so far while it is
+    built (see ``_rooted_code_below``), so most roots are abandoned after
+    a few entries; the result is the same minimum as building every
+    rooted code in full.
+    """
     diagrams = [d]
     if include_reflection:
         diagrams.append(mirror_diagram(d))
-    best: tuple[int, ...] | None = None
+    best: list[int] = []
     for dd in diagrams:
-        for root in range(dd.num_darts):
-            code = _rooted_code(dd, root)
-            if best is None or code < best:
+        partner = dd.partner
+        # overstrand bit at slot 0 of each crossing; slot r flips it when odd
+        over = [1 if x else 0 for x in dd.over_even]
+        for root in range(4 * dd.n):
+            code = _rooted_code_below(partner, over, dd.n, root, best)
+            if code is not None:
                 best = code
-    assert best is not None
-    return CanonicalCode(best)
+    return CanonicalCode(tuple(best))
 
 
 def invariant_vector(d: Diagram) -> dict[str, int]:
@@ -146,12 +185,18 @@ def flype_orbit(d: Diagram, max_nodes: int = 1000, max_depth: int = 100,
     ``include_reflection`` merges mirror-image members (exploratory only;
     the default keeps mirror images distinct).
     """
+    return _orbit_search(d, invariant_vector(d), max_nodes, max_depth,
+                         include_reflection)
+
+
+def _orbit_search(d: Diagram, invariants: dict[str, int], max_nodes: int,
+                  max_depth: int, include_reflection: bool) -> OrbitReport:
+    """``flype_orbit`` with the seed's invariant vector already computed."""
 
     def code_of(diagram: Diagram) -> CanonicalCode:
         return canonical_code(diagram, include_reflection=include_reflection)
 
     seed_code = code_of(d)
-    invariants = invariant_vector(d)
     members: dict[CanonicalCode, Diagram] = {seed_code: d}
     edges: set[tuple[CanonicalCode, CanonicalCode, FlypeSite]] = set()
     frontier = [(seed_code, d)]
@@ -235,7 +280,7 @@ def is_flype_related(
     target = canonical_code(d2)
     if canonical_code(d1) == target:
         return FlypeRelation(Relation.RELATED)
-    report = flype_orbit(d1, max_nodes=max_nodes, max_depth=max_depth)
+    report = _orbit_search(d1, inv1, max_nodes, max_depth, include_reflection=False)
     if target in set(report.members):
         return FlypeRelation(Relation.RELATED)
     return FlypeRelation(Relation.NOT_RELATED_WITHIN, truncated=report.truncated,

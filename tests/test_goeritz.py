@@ -89,6 +89,12 @@ def test_definiteness_examples():
     assert definiteness(SymmetricIntForm.from_rows([])) is Definiteness.POSITIVE
 
 
+def test_singular_form_taking_both_signs_is_degenerate():
+    f = SymmetricIntForm.from_rows([[1, -1, 1], [-1, 0, -1], [1, -1, 1]])
+    assert signature(f) == (1, 1, 1)
+    assert definiteness(f) is Definiteness.DEGENERATE
+
+
 def test_signature_hyperbolic_block():
     assert signature(SymmetricIntForm.from_rows([[0, 1], [1, 0]])) == (1, 1, 0)
     assert signature(SymmetricIntForm.from_rows([[0, 0], [0, 0]])) == (0, 0, 2)
