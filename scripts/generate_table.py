@@ -75,6 +75,8 @@ BRAID = {
 
 HOPF_PD = [(4, 1, 3, 2), (2, 3, 1, 4)]
 
+OUT = Path(__file__).resolve().parent.parent / "src" / "taitkit" / "data" / "alternating_upto8.json"
+
 
 def braid_from_blocks(blocks):
     word = []
@@ -107,7 +109,8 @@ def entry(name: str, diagram, det: int, extra_tags=None) -> dict:
     return {"name": name, "pd": [list(t) for t in pd], "tags": tags}
 
 
-def main() -> None:
+def table_text() -> str:
+    """The bundled table's JSON text, built and checked from scratch."""
     entries = []
     diagrams = {}
 
@@ -137,7 +140,6 @@ def main() -> None:
     entries.append(entry("hopf", hopf, 2))
 
     # same-knot variants one flype away, where a flype changes the code
-    variants = 0
     for name in sorted(diagrams, key=sort_key):
         d, det = diagrams[name]
         base = canonical_code(d)
@@ -147,13 +149,18 @@ def main() -> None:
                 check(name + "-flyped", child, d.n, det)
                 entries.append(entry(name + "-flyped", child, det,
                                      {"same_as": name}))
-                variants += 1
                 break
 
-    out = Path(__file__).resolve().parent.parent / "src" / "taitkit" / "data" / "alternating_upto8.json"
     body = ",\n".join(json.dumps(e, separators=(", ", ": ")) for e in entries)
-    out.write_text("[\n" + body + "\n]\n")
-    print(f"wrote {len(entries)} entries ({variants} flyped variants) to {out}")
+    return "[\n" + body + "\n]\n"
+
+
+def main() -> None:
+    text = table_text()
+    entries = json.loads(text)
+    variants = sum("same_as" in e["tags"] for e in entries)
+    OUT.write_text(text)
+    print(f"wrote {len(entries)} entries ({variants} flyped variants) to {OUT}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 flype-relatedness checks over diagram tables.
 
 Exit codes: 0 success, 1 a verification check failed, 2 input error (an
-unreadable table, an unknown entry, or a ``DiagramError`` raised on the
+unreadable table, including one that is not UTF-8 or whose JSON nests too
+deeply to parse, an unknown entry, or a ``DiagramError`` raised on the
 input diagrams), 3 inconclusive (a search limit was hit).
 """
 
@@ -12,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .codecs import DiagramDocument, SchemaError, load_table
+from .codecs import DiagramDocument, load_table
 from .diagram import DiagramError
 from .goeritz import check_identities
 from .orbit import Relation, flype_orbit, is_flype_related
@@ -26,7 +27,8 @@ EXIT_INCONCLUSIVE = 3
 def _load(path: str) -> list[DiagramDocument]:
     try:
         return load_table(path)
-    except (OSError, json.JSONDecodeError, SchemaError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and SchemaError
+    except (OSError, ValueError, RecursionError) as exc:
         raise SystemExit(_fail(f"cannot load {path}: {exc}"))
 
 

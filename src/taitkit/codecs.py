@@ -260,9 +260,10 @@ def _validate_entry(index: int, entry) -> DiagramDocument:
     if not isinstance(name, str) or not name:
         raise SchemaError(index, "missing or invalid 'name'")
     pd = entry.get("pd")
+    # ``type(x) is int``: JSON booleans load as bool, a subclass of int
     if (not isinstance(pd, list) or not pd
             or not all(isinstance(t, list) and len(t) == 4
-                       and all(isinstance(x, int) for x in t) for t in pd)):
+                       and all(type(x) is int for x in t) for t in pd)):
         raise SchemaError(index, "'pd' must be a nonempty list of 4-int lists")
     tags = entry.get("tags", {})
     if not isinstance(tags, dict) or not all(

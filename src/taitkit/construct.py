@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .diagram import Diagram, build_from_crossing_list
+from .diagram import Diagram, _DisjointSets, build_from_crossing_list
 
 PdTuple = tuple[int, int, int, int]
 
@@ -89,28 +89,21 @@ def join_horizontal(t1: Tangle, t2: Tangle) -> Tangle:
 
 def numerator_closure(t: Tangle) -> list[PdTuple]:
     """Close the tangle by joining nw-ne and sw-se; returns PD tuples."""
-    merges = t.merges + [(t.nw, t.ne), (t.sw, t.se)]
-    parent = list(range(t.next_wire))
+    return _label_wires(t.crossings, t.merges + [(t.nw, t.ne), (t.sw, t.se)],
+                        t.next_wire)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
+def _label_wires(crossings: list[list[int]], merges: list[tuple[int, int]],
+                 wires: int) -> list[PdTuple]:
+    """PD tuples for crossings given by wire ids ``0 .. wires - 1``: wires
+    joined by ``merges`` form one edge, and edges are labelled 1, 2, ...
+    in order of first appearance."""
+    sets = _DisjointSets(wires)
     for a, b in merges:
-        parent[find(a)] = find(b)
+        sets.union(a, b)
     labels: dict[int, int] = {}
-    pd: list[PdTuple] = []
-    for tup in t.crossings:
-        resolved = []
-        for w in tup:
-            root = find(w)
-            if root not in labels:
-                labels[root] = len(labels) + 1
-            resolved.append(labels[root])
-        pd.append(tuple(resolved))
-    return pd
+    return [tuple(labels.setdefault(sets.find(w), len(labels) + 1) for w in tup)
+            for tup in crossings]
 
 
 # --------------------------------------------------------------------------
@@ -188,25 +181,5 @@ def braid_closure(word: list[int], strands: int = 3) -> Diagram:
         else:
             crossings.append([d, b, a, c])
         current[j], current[j + 1] = c, d
-    merges = list(zip(current, top))
-    parent = list(range(counter))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in merges:
-        parent[find(a)] = find(b)
-    labels: dict[int, int] = {}
-    pd: list[PdTuple] = []
-    for tup in crossings:
-        resolved = []
-        for w in tup:
-            root = find(w)
-            if root not in labels:
-                labels[root] = len(labels) + 1
-            resolved.append(labels[root])
-        pd.append(tuple(resolved))
-    return build_from_crossing_list(pd)
+    return build_from_crossing_list(_label_wires(crossings, list(zip(current, top)),
+                                                 counter))

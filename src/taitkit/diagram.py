@@ -260,27 +260,8 @@ def build_from_crossing_list(pd: list[tuple[int, int, int, int]]) -> Diagram:
         a, b = ds
         partner[a], partner[b] = b, a
     edge_label = [pd[d >> 2][d & 3] for d in range(4 * n)]
-
-    # connectivity of the underlying 4-valent graph
-    seen = {0}
-    stack = [0]
-    while stack:
-        c = stack.pop()
-        for k in range(4):
-            c2 = partner[4 * c + k] >> 2
-            if c2 not in seen:
-                seen.add(c2)
-                stack.append(c2)
-    if len(seen) != n:
-        raise DisconnectedAmbient(
-            f"crossing list splits into {len(seen)} of {n} crossings and more")
-
     forward, component = _default_orientation(n, partner, edge_label)
-    d = Diagram(n, tuple(partner), tuple(False for _ in range(n)),
-                tuple(edge_label), forward, component)
-    if len(d.faces) != n + 2:
-        raise NonPlanar(f"{len(d.faces)} faces for {n} crossings; sphere needs {n + 2}")
-    return d
+    return _sphere_diagram(partner, (False,) * n, edge_label, forward, component)
 
 
 def _default_orientation(
@@ -350,23 +331,53 @@ def assemble_diagram(
             dart = 4 * (p >> 2) + (((p & 3) + 2) & 3)
         comp += 1
 
-    seen = {0}
+    return _sphere_diagram(partner, over_even, edge_label, forward, component)
+
+
+def _sphere_diagram(partner, over_even, edge_label, forward, component) -> Diagram:
+    """The diagram on the given map data, checked to be connected and to
+    close up to a sphere: ``n + 2`` faces for ``n`` crossings.
+
+    Raises DisconnectedAmbient or NonPlanar.
+    """
+    n = len(over_even)
+    seen = [False] * n
+    seen[0] = True
     stack = [0]
     while stack:
         c = stack.pop()
-        for k in range(4):
-            c2 = partner[4 * c + k] >> 2
-            if c2 not in seen:
-                seen.add(c2)
-                stack.append(c2)
-    if len(seen) != n:
-        raise DisconnectedAmbient("assembled map is split")
-
+        for p in partner[4 * c:4 * c + 4]:
+            if not seen[p >> 2]:
+                seen[p >> 2] = True
+                stack.append(p >> 2)
+    reached = seen.count(True)
+    if reached != n:
+        raise DisconnectedAmbient(
+            f"crossing list splits into {reached} of {n} crossings and more")
     d = Diagram(n, tuple(partner), tuple(over_even), tuple(edge_label),
                 tuple(forward), tuple(component))
     if len(d.faces) != n + 2:
-        raise NonPlanar(f"{len(d.faces)} faces for {n} crossings")
+        raise NonPlanar(f"{len(d.faces)} faces for {n} crossings; sphere needs {n + 2}")
     return d
+
+
+class _DisjointSets:
+    """Union-find over ``0 .. size - 1`` with path halving."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        self.parent[self.find(a)] = self.find(b)
 
 
 def mirror_diagram(d: Diagram) -> Diagram:

@@ -22,6 +22,7 @@ from .diagram import (
     Diagram,
     DiagramError,
     PreconditionFailed,
+    _DisjointSets,
     assemble_diagram,
     is_alternating,
     is_prime_diagram,
@@ -64,31 +65,27 @@ def _require_preconditions(d: Diagram) -> None:
 
 
 def _resolve_tangle(
-    d: Diagram, crossing: int, side: int, e_n: int, e_s: int
+    d: Diagram, edges: dict[int, tuple[int, int]],
+    crossing: int, side: int, e_n: int, e_s: int
 ) -> frozenset[int] | None:
     """Check that deleting the crossing and cutting the two edges splits
     the diagram into a tangle side and its complement; returns the tangle
-    crossings, or None if the data is not a coherent circle."""
+    crossings, or None if the data is not a coherent circle.  ``edges`` is
+    ``d.edges()``."""
     if e_n == e_s:
         return None
     cut = (e_n, e_s)
     in_slots = (side, (side + 1) % 4)
     out_slots = ((side + 2) % 4, (side + 3) % 4)
 
-    parent = {v: v for v in range(d.n) if v != crossing}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for lab, (x, y) in d.edges().items():
+    sets = _DisjointSets(d.n)
+    find, union = sets.find, sets.union
+    for lab, (x, y) in edges.items():
         if lab in cut:
             continue
         a, b = x >> 2, y >> 2
         if a != crossing and b != crossing:
-            parent[find(a)] = find(b)
+            union(a, b)
 
     label: dict[int, bool] = {}  # root -> True for tangle side
 
@@ -109,7 +106,6 @@ def _resolve_tangle(
                 return None
 
     relational: list[tuple[int, int]] = []
-    edges = d.edges()
     for lab in cut:
         x, y = edges[lab]
         ends = [(t >> 2, t & 3) for t in (x, y)]
@@ -138,10 +134,10 @@ def _resolve_tangle(
             elif rv in label:
                 label[ru] = not label[rv]
                 changed = True
-    roots = {find(v) for v in parent}
-    if any(r not in label for r in roots):
+    rest = [v for v in range(d.n) if v != crossing]
+    if any(find(v) not in label for v in rest):
         return None
-    tangle = frozenset(v for v in parent if label[find(v)])
+    tangle = frozenset(v for v in rest if label[find(v)])
     return tangle or None
 
 
@@ -155,6 +151,7 @@ def find_flype_sites(d: Diagram) -> tuple[FlypeSite, ...]:
     _require_preconditions(d)
     rof = d.region_of_dart
     faces = d.faces
+    edges = d.edges()
     sites: dict[tuple[int, int, int, int], FlypeSite] = {}
     for c in range(d.n):
         for s in range(4):
@@ -172,7 +169,7 @@ def find_flype_sites(d: Diagram) -> tuple[FlypeSite, ...]:
                     key = (c, s, e_n, e_s)
                     if key in sites:
                         continue
-                    tangle = _resolve_tangle(d, c, s, e_n, e_s)
+                    tangle = _resolve_tangle(d, edges, c, s, e_n, e_s)
                     if tangle is not None:
                         sites[key] = FlypeSite(c, s, (e_n, e_s), tangle)
     return tuple(sites[k] for k in sorted(sites,
@@ -193,7 +190,7 @@ def apply_flype(d: Diagram, site: FlypeSite) -> Diagram:
     edges = d.edges()
     if e_n not in edges or e_s not in edges:
         raise InvalidSite(f"cut edges {site.cut_edges} not present")
-    tangle = _resolve_tangle(d, c, s, e_n, e_s)
+    tangle = _resolve_tangle(d, edges, c, s, e_n, e_s)
     if tangle != site.tangle:
         raise InvalidSite("site does not match the diagram's cut structure")
 

@@ -33,6 +33,7 @@ from .diagram import (
     Diagram,
     DiagramError,
     PreconditionFailed,
+    _DisjointSets,
     color_chessboard,
     crossing_signs,
     is_alternating,
@@ -194,24 +195,15 @@ def definiteness(f: SymmetricIntForm) -> Definiteness:
 # chessboard forms
 
 
-def _eta(d: Diagram, coloring: Coloring, color: Color, crossing: int) -> int:
-    """Goeritz crossing sign for the chosen shading."""
+def _corners(
+    d: Diagram, coloring: Coloring, color: Color, crossing: int
+) -> tuple[int, int, int]:
+    """Region ids of the two same-color corners at a crossing, and the
+    Goeritz crossing sign eta for that shading."""
     base = 4 * crossing
-    k = next(
-        k for k in (0, 1) if coloring.color_of_dart(base + k) is color
-    )
-    return 1 if not d.is_over_dart(base + k) else -1
-
-
-def _color_diagonal(
-    coloring: Coloring, color: Color, crossing: int
-) -> tuple[int, int]:
-    """Region ids of the two same-color corners at a crossing."""
-    base = 4 * crossing
-    k = next(k for k in (0, 1) if coloring.regions[
-        coloring.region_of_dart[base + k]].color is color)
-    return (coloring.region_of_dart[base + k],
-            coloring.region_of_dart[base + k + 2])
+    rof = coloring.region_of_dart
+    k = 0 if coloring.regions[rof[base]].color is color else 1
+    return rof[base + k], rof[base + k + 2], -1 if d.is_over_dart(base + k) else 1
 
 
 def goeritz_matrix(d: Diagram, coloring: Coloring, color: Color) -> SymmetricIntForm:
@@ -221,10 +213,10 @@ def goeritz_matrix(d: Diagram, coloring: Coloring, color: Color) -> SymmetricInt
     m = len(region_ids)
     pre = [[0] * m for _ in range(m)]
     for c in range(d.n):
-        i, j = (index[r] for r in _color_diagonal(coloring, color, c))
+        r1, r2, e = _corners(d, coloring, color, c)
+        i, j = index[r1], index[r2]
         if i == j:
             continue
-        e = _eta(d, coloring, color, c)
         pre[i][j] -= e
         pre[j][i] -= e
     for i in range(m):
@@ -235,19 +227,11 @@ def goeritz_matrix(d: Diagram, coloring: Coloring, color: Color) -> SymmetricInt
 
 
 def _chessboard_connected(d: Diagram, coloring: Coloring, color: Color) -> bool:
-    region_ids = [r.id for r in coloring.regions_of(color)]
-    parent = {rid: rid for rid in region_ids}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = _DisjointSets(len(coloring.regions))
     for c in range(d.n):
-        i, j = _color_diagonal(coloring, color, c)
-        parent[find(i)] = find(j)
-    return len({find(r) for r in region_ids}) == 1
+        r1, r2, _ = _corners(d, coloring, color, c)
+        sets.union(r1, r2)
+    return len({sets.find(r.id) for r in coloring.regions_of(color)}) == 1
 
 
 def beta1_chessboard(d: Diagram, coloring: Coloring, color: Color) -> int:

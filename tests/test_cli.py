@@ -45,6 +45,18 @@ def test_invariants_missing_file():
     assert run(["invariants", "--input", "/no/such/file.json"]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe[1]",
+    b"[" * 200_000 + b"]" * 200_000,
+], ids=["not-utf-8", "nested-past-recursion-limit"])
+def test_invariants_unreadable_table(tmp_path, capsys, content):
+    table = tmp_path / "table.json"
+    table.write_bytes(content)
+    assert run(["invariants", "--input", str(table)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("taitkit: cannot load ")
+
+
 def test_orbit_command(tmp_path):
     out = tmp_path / "orbit.json"
     dot = tmp_path / "orbit.dot"

@@ -5,6 +5,7 @@ from taitkit.diagram import (
     DisconnectedAmbient,
     MalformedCode,
     NonPlanar,
+    assemble_diagram,
     build_from_crossing_list,
     color_chessboard,
     crossing_signs,
@@ -41,16 +42,36 @@ def test_malformed_label_count():
         build_from_crossing_list([(1, 2, 3, 4)])
 
 
+SPLIT_MESSAGE = "crossing list splits into 1 of 2 crossings and more"
+NONPLANAR_MESSAGE = "2 faces for 2 crossings; sphere needs 4"
+
+
 def test_split_code_rejected():
     # two disjoint kinks
-    with pytest.raises(DisconnectedAmbient):
+    with pytest.raises(DisconnectedAmbient, match=f"^{SPLIT_MESSAGE}$"):
         build_from_crossing_list([(1, 1, 2, 2), (3, 3, 4, 4)])
 
 
 def test_nonplanar_rejected():
     # gluing with too few faces to be a sphere map
-    with pytest.raises(NonPlanar):
+    with pytest.raises(NonPlanar, match=f"^{NONPLANAR_MESSAGE}$"):
         build_from_crossing_list([(1, 2, 3, 4), (1, 2, 3, 4)])
+
+
+def test_assembled_split_map_rejected(kink):
+    # two disjoint copies of the kink's map data
+    partner = kink.partner + tuple(p + 4 for p in kink.partner)
+    labels = kink.edge_label + tuple(x + 2 for x in kink.edge_label)
+    with pytest.raises(DisconnectedAmbient, match=f"^{SPLIT_MESSAGE}$"):
+        assemble_diagram(partner, kink.over_even * 2, labels, kink.forward * 2)
+
+
+def test_assembled_nonplanar_map_rejected():
+    # slot k of crossing 0 glued to slot k of crossing 1: a torus map
+    partner = (4, 5, 6, 7, 0, 1, 2, 3)
+    forward = (True, True, False, False, False, False, True, True)
+    with pytest.raises(NonPlanar, match=f"^{NONPLANAR_MESSAGE}$"):
+        assemble_diagram(partner, (False, False), (1, 2, 3, 4) * 2, forward)
 
 
 def test_region_degrees(trefoil, hopf, kink):

@@ -1,11 +1,14 @@
-"""Byte-identity gate: the ``invariants`` report and every bundled entry's
-flype orbit must match the recorded golden outputs exactly.
+"""Byte-identity gate: the ``invariants`` report, every bundled entry's
+flype orbit and the map data of a fixed list of constructed diagrams must
+match the recorded golden outputs exactly, and the bundled table must
+regenerate byte for byte.
 
 Regenerate the golden files (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,11 +18,16 @@ from pathlib import Path
 
 from taitkit.cli import main
 from taitkit.codecs import BUNDLED_TABLE, load_bundled_table
+from taitkit.construct import braid_closure, montesinos_diagram, rational_diagram
+from taitkit.diagram import PreconditionFailed, mirror_diagram
+from taitkit.flype import apply_flype, find_flype_sites
 from taitkit.orbit import flype_orbit
 
+ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_INVARIANTS = DATA / "golden_invariants.json"
 GOLDEN_ORBITS = DATA / "golden_orbits.json"
+GOLDEN_CONSTRUCTED = DATA / "golden_constructed.json"
 TABLE_PATH = str(resources.files("taitkit.data").joinpath(BUNDLED_TABLE))
 ORBIT_LIMITS = {"max_nodes": 200, "max_depth": 60}
 
@@ -35,6 +43,39 @@ def orbit_digests() -> dict[str, str]:
             flype_orbit(doc.build(), **ORBIT_LIMITS).dumps().encode()).hexdigest()
         for doc in load_bundled_table()
     }
+
+
+# knots and multi-component links from every builder in ``construct``
+CONSTRUCTED = {
+    **{f"rational {seq}": (rational_diagram, seq) for seq in (
+        [2], [4], [2, 2], [2, 1, 2], [2, 2, 2], [3, 1, 3], [4, 2], [2] * 6,
+        [3, 2, 1, 2])},
+    **{f"montesinos {seqs}": (montesinos_diagram, seqs) for seqs in (
+        [[2], [2], [2]], [[3], [3], [2]], [[2, 1], [3], [2, 2]],
+        [[2], [2], [2], [2]])},
+    **{f"braid {word}": (braid_closure, word) for word in (
+        [1, -2] * 3, [1, -2] * 2, [1, 1, 1, -2, 1, -2], [1, 1, -2, -2])},
+}
+
+
+def map_fields(d) -> str:
+    return repr((d.n, d.partner, d.over_even, d.edge_label, d.forward, d.component))
+
+
+def constructed_digests() -> dict[str, str]:
+    """sha256 of the map data of each constructed diagram, its mirror and
+    the child of each of its flype sites, in that order."""
+    out = {}
+    for name, (build, arg) in CONSTRUCTED.items():
+        d = build(arg)
+        family = [d, mirror_diagram(d)]
+        try:
+            family += [apply_flype(d, site) for site in find_flype_sites(d)]
+        except PreconditionFailed:
+            pass
+        text = "\n".join(map_fields(x) for x in family)
+        out[name] = hashlib.sha256(text.encode()).hexdigest()
+    return out
 
 
 def test_invariants_report_matches_golden(tmp_path):
@@ -61,8 +102,23 @@ def test_orbits_match_golden():
     assert orbit_digests() == expected
 
 
+def test_constructed_diagrams_match_golden():
+    expected = json.loads(GOLDEN_CONSTRUCTED.read_text(encoding="utf-8"))
+    assert constructed_digests() == expected
+
+
+def test_bundled_table_regenerates():
+    spec = importlib.util.spec_from_file_location(
+        "generate_table", ROOT / "scripts" / "generate_table.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.table_text() == Path(TABLE_PATH).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     invariants_report(GOLDEN_INVARIANTS)
-    GOLDEN_ORBITS.write_text(
-        json.dumps(orbit_digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for path, digests in ((GOLDEN_ORBITS, orbit_digests()),
+                          (GOLDEN_CONSTRUCTED, constructed_digests())):
+        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
