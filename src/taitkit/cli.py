@@ -4,7 +4,8 @@ flype-relatedness checks over diagram tables.
 Exit codes: 0 success, 1 a verification check failed, 2 input error (an
 unreadable table, including one that is not UTF-8 or whose JSON nests too
 deeply to parse, an unknown entry, or a ``DiagramError`` raised on the
-input diagrams), 3 inconclusive (a search limit was hit).
+input diagrams), 3 inconclusive (a search limit was hit).  A negative
+``--max-nodes`` or ``--max-depth`` is a usage error: argparse exits 2.
 """
 
 from __future__ import annotations
@@ -111,6 +112,16 @@ def cmd_flype_check(input_path: str, name_a: str, name_b: str,
     return EXIT_OK
 
 
+def _limit(text: str) -> int:
+    """argparse type of ``--max-nodes`` and ``--max-depth``: an integer >= 0."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taitkit",
@@ -126,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb = sub.add_parser("orbit", help="compute the flype orbit of one entry")
     p_orb.add_argument("--input", required=True)
     p_orb.add_argument("--name", required=True)
-    p_orb.add_argument("--max-nodes", type=int, default=1000)
-    p_orb.add_argument("--max-depth", type=int, default=100)
+    p_orb.add_argument("--max-nodes", type=_limit, default=1000)
+    p_orb.add_argument("--max-depth", type=_limit, default=100)
     p_orb.add_argument("--output")
     p_orb.add_argument("--dot")
     p_orb.add_argument("--include-mirror", action="store_true",
@@ -137,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--input", required=True)
     p_chk.add_argument("--a", required=True)
     p_chk.add_argument("--b", required=True)
-    p_chk.add_argument("--max-nodes", type=int, default=10_000)
-    p_chk.add_argument("--max-depth", type=int, default=1000)
+    p_chk.add_argument("--max-nodes", type=_limit, default=10_000)
+    p_chk.add_argument("--max-depth", type=_limit, default=1000)
     return parser
 
 

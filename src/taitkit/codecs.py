@@ -95,6 +95,9 @@ def _parse_pd_bracketed(src: str) -> list[PdTuple]:
             raise CodeSyntaxError(
                 "expected X[a,b,c,d]", *_line_col(src, offset + pos))
         tuples.append(tuple(int(g) for g in m.groups()))
+        if any(x <= 0 for x in tuples[-1]):
+            raise CodeSyntaxError(
+                "labels must be positive", *_line_col(src, offset + pos))
         pos = m.end()
     if not tuples:
         raise CodeSyntaxError("no crossings in PD[...]", *_line_col(src, offset))
@@ -145,7 +148,7 @@ def parse_gauss(src: str) -> Diagram:
     The crossing sign is the right-hand-rule sign; realizability on the
     sphere is checked by attempting the map construction.
     """
-    passes: list[tuple[str, int, int, int]] = []  # (kind, crossing, comp, index)
+    passes: list[tuple[str, int, int]] = []  # (kind, crossing, sign)
     comp_lengths: list[int] = []
     for lineno, line in enumerate(src.strip().splitlines()):
         pos = 0
@@ -157,7 +160,7 @@ def parse_gauss(src: str) -> Diagram:
                 raise CodeSyntaxError("expected O<k><sign> or U<k><sign>",
                                       lineno + 1, pos + 1)
             kind, label, sign = m.group(1).upper(), int(m.group(2)), m.group(3)
-            passes.append((kind, label, lineno, 1 if sign == "+" else -1))
+            passes.append((kind, label, 1 if sign == "+" else -1))
             pos = m.end()
             count += 1
         if count == 0:
@@ -166,11 +169,10 @@ def parse_gauss(src: str) -> Diagram:
 
     visits: dict[int, dict[str, tuple[int, int]]] = {}
     signs: dict[int, int] = {}
-    edge = 0
     offset = 0
     for comp_len in comp_lengths:
         for i in range(comp_len):
-            kind, label, _, sign = passes[offset + i]
+            kind, label, sign = passes[offset + i]
             e_in = offset + i
             e_out = offset + (i + 1) % comp_len
             visits.setdefault(label, {})
@@ -181,7 +183,6 @@ def parse_gauss(src: str) -> Diagram:
                 raise NonRealizable(f"crossing {label} has inconsistent signs")
             signs[label] = sign
         offset += comp_len
-        edge += comp_len
     for label, kinds in visits.items():
         if set(kinds) != {"O", "U"}:
             raise NonRealizable(f"crossing {label} lacks an O or U pass")

@@ -8,9 +8,16 @@ middle region, second cut edge, corner region on the other diagonal.
 
 ``apply_flype`` removes the crossing, reflects the tangle (rotation
 orders reversed, overstrands toggled), and reinserts the crossing between
-the far ends of the cut edges.  The reinserted crossing's overstrand is
-fixed by the rotation sense that cancels the removed crossing; on
-alternating input the output is asserted to be alternating again.
+the far ends of the cut edges.  It is one dart map: every old dart off
+the crossing keeps its orientation and moves to its mirror slot inside
+the tangle; its new partner is the reinserted crossing's dart on its side
+when its edge is cut, the dart reached by passing straight through the
+removed crossing when its edge ends there, and the image of its old
+partner otherwise.  The reinserted crossing's overstrand is fixed by the
+rotation sense that cancels the removed crossing.  ``InvalidSite`` is
+raised when the site does not match the diagram, when the rewritten map
+is not a connected sphere diagram, and when it breaks alternation or
+reducedness that the input had, or changes the writhe.
 """
 
 from __future__ import annotations
@@ -195,105 +202,40 @@ def apply_flype(d: Diagram, site: FlypeSite) -> Diagram:
         raise InvalidSite("site does not match the diagram's cut structure")
 
     in_slots = (s % 4, (s + 1) % 4)
+    # the new crossing's darts on the (tangle, far) side of each cut edge
+    roles = {e_n: (4 * c + _KSW, 4 * c + _KNE), e_s: (4 * c + _KNW, 4 * c + _KSE)}
 
-    def map_dart(dart: int) -> int:
-        v = dart >> 2
-        if v in tangle:
-            return 4 * v + ((4 - (dart & 3)) % 4)
-        return dart
+    def inside(t: int) -> bool:
+        return (t & 3) in in_slots if t >> 2 == c else t >> 2 in tangle
 
-    def kdart(role: int) -> int:
-        return 4 * c + role
-
-    # wiring tokens: ("d", new dart) endpoints, ("s", slot) pass-through
-    # stubs at the removed crossing.  Each wiring segment remembers the old
-    # edge it came from and the old dart on each token's side (None at a
-    # cut point).
-    segments: list[tuple[tuple, tuple, int, dict]] = []
-    plain: list[tuple[int, int]] = []  # untouched edges, new dart pairs
-    cut_roles = {e_n: (kdart(_KSW), kdart(_KNE)), e_s: (kdart(_KNW), kdart(_KSE))}
-    for lab, (x, y) in edges.items():
-        incident = (x >> 2 == c) or (y >> 2 == c)
-        if lab in cut_roles:
-            k_in, k_out = cut_roles[lab]
-            for t in (x, y):
-                if t >> 2 == c:
-                    inside = (t & 3) in in_slots
-                    tok = ("s", t & 3)
-                else:
-                    inside = (t >> 2) in tangle
-                    tok = ("d", map_dart(t))
-                segments.append((tok, ("d", k_in if inside else k_out),
-                                 lab, {tok: t}))
-        elif incident:
-            t_c, t_far = (x, y) if x >> 2 == c else (y, x)
-            segments.append((("s", t_c & 3), ("d", map_dart(t_far)),
-                             lab, {("s", t_c & 3): t_c, ("d", map_dart(t_far)): t_far}))
-        else:
-            plain.append((map_dart(x), map_dart(y)))
-
-    passthrough = [(("s", s % 4), ("s", (s + 2) % 4)),
-                   (("s", (s + 1) % 4), ("s", (s + 3) % 4))]
-
-    adjacency: dict[tuple, list[tuple[tuple, tuple | None]]] = {}
-    for a, b, lab, darts in segments:
-        adjacency.setdefault(a, []).append((b, (lab, darts)))
-        adjacency.setdefault(b, []).append((a, (lab, darts)))
-    for a, b in passthrough:
-        adjacency.setdefault(a, []).append((b, None))
-        adjacency.setdefault(b, []).append((a, None))
-
-    for tok, nbrs in adjacency.items():
-        expected = 2 if tok[0] == "s" else 1
-        if len(nbrs) != expected:
-            raise InvalidSite(f"cut structure degenerate at {tok}")
+    def end(t: int) -> int:
+        """The child's dart at old edge end ``t``, mirrored inside the tangle;
+        from the removed crossing, the far end of the next edge straight
+        through, or the new crossing's dart on that side if it is cut."""
+        v = t >> 2
+        if v != c:
+            return 4 * v + (-t & 3) if v in tangle else t
+        y = 4 * c + ((t + 2) & 3)
+        if d.edge_label[y] in roles:
+            return roles[d.edge_label[y]][not inside(y)]
+        return end(d.partner[y])
 
     n = d.n
-    partner = [-1] * (4 * n)
-    forward = [False] * (4 * n)
+    partner, forward = [0] * (4 * n), [False] * (4 * n)
 
-    def connect(da: int, db: int, fwd_a: bool) -> None:
-        partner[da], partner[db] = db, da
-        forward[da], forward[db] = fwd_a, not fwd_a
+    def link(a: int, b: int, a_forward: bool) -> None:
+        partner[a], partner[b] = b, a
+        forward[a], forward[b] = a_forward, not a_forward
 
-    for x, y in plain:
-        old_x = x if (x >> 2) not in tangle else 4 * (x >> 2) + ((4 - (x & 3)) % 4)
-        connect(x, y, d.forward[old_x])
-
-    visited: set[tuple] = set()
-    for start in list(adjacency):
-        if start[0] != "d" or start in visited:
+    # an edge into the removed crossing is linked again from the next edge
+    for lab, (x, y) in edges.items():
+        if lab not in roles:
+            link(end(x), end(y), d.forward[x])
             continue
-        chain: list[tuple[tuple, tuple, tuple | None]] = []
-        tok = start
-        prev = None
-        while True:
-            visited.add(tok)
-            nxt = next((b, info) for b, info in adjacency[tok] if b != prev or
-                       (len(adjacency[tok]) == 1))
-            chain.append((tok, nxt[0], nxt[1]))
-            prev, tok = tok, nxt[0]
-            if tok[0] == "d":
-                visited.add(tok)
-                break
-        end_a, end_b = chain[0][0], chain[-1][1]
-        # orient the chain from any constituent old edge
-        flows_ab: bool | None = None
-        for a, b, info in chain:
-            if info is None:
-                continue
-            lab, darts = info
-            for tok_side, old_dart in darts.items():
-                if d.forward[old_dart]:
-                    flows_ab = tok_side == a
-                else:
-                    flows_ab = tok_side != a
-                break
-            if flows_ab is not None:
-                break
-        if flows_ab is None:
-            raise InvalidSite("cut structure yields an unoriented chain")
-        connect(end_a[1], end_b[1], flows_ab)
+        x, y = (x, y) if inside(x) else (y, x)
+        k_in, k_out = roles[lab]
+        link(end(x), k_in, d.forward[x])
+        link(k_out, end(y), d.forward[x])
 
     over_even = list(d.over_even)
     for v in tangle:
@@ -302,9 +244,6 @@ def apply_flype(d: Diagram, site: FlypeSite) -> Diagram:
     # the tangle-side strand of the first cut edge passes over at the new
     # crossing exactly when the strand through slots (s+1, s+3) was over
     over_even[c] = not y_over
-
-    if any(p < 0 for p in partner):
-        raise InvalidSite("rewrite left unmatched darts")
 
     label = [0] * (4 * n)
     next_label = 1

@@ -101,6 +101,18 @@ def test_flype_check_inconclusive_under_adversarial_limits(capsys):
     assert "NotRelatedWithin" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--name", "8_8", "--max-nodes", "-1"],
+    ["orbit", "--name", "8_8", "--max-depth", "-3"],
+    ["flype-check", "--a", "8_8", "--b", "8_8-flyped", "--max-nodes", "-1"],
+    ["flype-check", "--a", "8_8", "--b", "8_8-flyped", "--max-depth", "-3"],
+    ["orbit", "--name", "8_8", "--max-depth", "two"],
+])
+def test_bad_search_limit_is_usage_error(argv, capsys):
+    assert run(argv[:1] + ["--input", TABLE_PATH] + argv[1:]) == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
 def non_alternating_table(tmp_path):
     """The granny knot with crossing 0 switched, next to the trefoil."""
     table = tmp_path / "mixed.json"

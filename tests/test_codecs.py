@@ -39,6 +39,14 @@ def test_parse_pd_error_position():
     assert err.value.line == 2
 
 
+def test_parse_pd_bracketed_rejects_non_positive_labels():
+    with pytest.raises(CodeSyntaxError, match="labels must be positive") as err:
+        parse_pd_text("PD[X[1,4,2,5],\n  X[3,6,0,1]]")
+    assert (err.value.line, err.value.column) == (2, 3)
+    with pytest.raises(CodeSyntaxError, match="labels must be positive"):
+        parse_pd_text("PD[X[0,1,2,3]]")
+
+
 def test_parse_pd_rejects_garbage():
     with pytest.raises(CodeSyntaxError):
         parse_pd_text("1 4 two 5")

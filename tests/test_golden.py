@@ -1,6 +1,7 @@
 """Byte-identity gate: the ``invariants`` report, every bundled entry's
-flype orbit and the map data of a fixed list of constructed diagrams must
-match the recorded golden outputs exactly, and the bundled table must
+flype orbit, the map data of a fixed list of constructed diagrams and the
+outcome of every flype candidate on the small bundled entries must match
+the recorded golden outputs exactly, and the bundled table must
 regenerate byte for byte.
 
 Regenerate the golden files (only when an output change is intended) with
@@ -20,7 +21,7 @@ from taitkit.cli import main
 from taitkit.codecs import BUNDLED_TABLE, load_bundled_table
 from taitkit.construct import braid_closure, montesinos_diagram, rational_diagram
 from taitkit.diagram import PreconditionFailed, mirror_diagram
-from taitkit.flype import apply_flype, find_flype_sites
+from taitkit.flype import FlypeSite, _resolve_tangle, apply_flype, find_flype_sites
 from taitkit.orbit import flype_orbit
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,8 +29,10 @@ DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_INVARIANTS = DATA / "golden_invariants.json"
 GOLDEN_ORBITS = DATA / "golden_orbits.json"
 GOLDEN_CONSTRUCTED = DATA / "golden_constructed.json"
+GOLDEN_CANDIDATES = DATA / "golden_flype_candidates.json"
 TABLE_PATH = str(resources.files("taitkit.data").joinpath(BUNDLED_TABLE))
 ORBIT_LIMITS = {"max_nodes": 200, "max_depth": 60}
+CANDIDATE_MAX_CROSSINGS = 7
 
 
 def invariants_report(path: Path) -> str:
@@ -78,6 +81,38 @@ def constructed_digests() -> dict[str, str]:
     return out
 
 
+def flype_candidate_digests() -> dict[str, str]:
+    """sha256, per bundled entry with at most ``CANDIDATE_MAX_CROSSINGS``
+    crossings, of the ``apply_flype`` outcome (map data, or exception type
+    and message) for every ``(crossing, side, e_n, e_s)`` on the entry and
+    then on its mirror whose ``_resolve_tangle`` is not None, legal site or
+    not."""
+    out = {}
+    for doc in load_bundled_table():
+        d = doc.build()
+        if d.n > CANDIDATE_MAX_CROSSINGS:
+            continue
+        lines = []
+        for x in (d, mirror_diagram(d)):
+            edges = x.edges()
+            for c in range(x.n):
+                for s in range(4):
+                    for e_n in edges:
+                        for e_s in edges:
+                            tangle = _resolve_tangle(x, edges, c, s, e_n, e_s)
+                            if tangle is None:
+                                continue
+                            try:
+                                child = apply_flype(
+                                    x, FlypeSite(c, s, (e_n, e_s), tangle))
+                            except Exception as exc:
+                                lines.append(f"{type(exc).__name__}: {exc}")
+                            else:
+                                lines.append(map_fields(child))
+        out[doc.name] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return out
+
+
 def test_invariants_report_matches_golden(tmp_path):
     expected = GOLDEN_INVARIANTS.read_text(encoding="utf-8")
     assert invariants_report(tmp_path / "report.json") == expected
@@ -107,6 +142,11 @@ def test_constructed_diagrams_match_golden():
     assert constructed_digests() == expected
 
 
+def test_flype_candidates_match_golden():
+    expected = json.loads(GOLDEN_CANDIDATES.read_text(encoding="utf-8"))
+    assert flype_candidate_digests() == expected
+
+
 def test_bundled_table_regenerates():
     spec = importlib.util.spec_from_file_location(
         "generate_table", ROOT / "scripts" / "generate_table.py")
@@ -119,6 +159,7 @@ if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     invariants_report(GOLDEN_INVARIANTS)
     for path, digests in ((GOLDEN_ORBITS, orbit_digests()),
-                          (GOLDEN_CONSTRUCTED, constructed_digests())):
+                          (GOLDEN_CONSTRUCTED, constructed_digests()),
+                          (GOLDEN_CANDIDATES, flype_candidate_digests())):
         path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
