@@ -25,7 +25,7 @@ from .diagram import (
     writhe,
 )
 from .flype import FlypeSite, apply_flype, find_flype_sites
-from .form_ops import add_twists, block_sum, congruent_small, restrict
+from .form_ops import add_twists, block_sum, restrict
 from .goeritz import (
     ChessboardSummary,
     Definiteness,

@@ -241,9 +241,14 @@ def _validate_table(data) -> list[DiagramDocument]:
         raise SchemaError(-1, "top level must be an array")
     docs: list[DiagramDocument] = []
     problems: list[SchemaError] = []
+    names: set[str] = set()
     for i, entry in enumerate(data):
         try:
-            docs.append(_validate_entry(i, entry))
+            doc = _validate_entry(i, entry)
+            if doc.name in names:
+                raise SchemaError(i, f"duplicate name {doc.name!r}")
+            names.add(doc.name)
+            docs.append(doc)
         except SchemaError as exc:
             problems.append(exc)
     if problems:

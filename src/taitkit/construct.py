@@ -140,7 +140,7 @@ def rational_diagram(sequence: list[int]) -> Diagram:
 
 
 def continued_fraction(sequence: list[int]) -> tuple[int, int]:
-    """Fraction of the rational tangle, innermost entry first."""
+    """The fraction ``(p, q)`` of the rational tangle, innermost entry first."""
     num, den = sequence[0], 1
     for a in sequence[1:]:
         num, den = a * num + den, num

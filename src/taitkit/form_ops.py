@@ -2,19 +2,12 @@
 
 Boundary-connect sum is a block sum, adding half twists along an arc bumps
 a diagonal entry, and cutting along arcs restricts to a principal
-submatrix.  ``congruent_small`` is a bounded brute-force congruence test
-for forms of rank at most 3.
+submatrix.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .goeritz import SymmetricIntForm
-
-
-class DimensionMismatch(Exception):
-    pass
 
 
 class IndexOutOfRange(Exception):
@@ -54,60 +47,3 @@ def restrict(f: SymmetricIntForm, keep) -> SymmetricIntForm:
     return SymmetricIntForm.from_rows(
         [[f.entries[i][j] for j in idx] for i in idx]
     )
-
-
-def _det(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    return sum(
-        (-1) ** j * rows[0][j]
-        * _det([[rows[i][k] for k in range(n) if k != j] for i in range(1, n)])
-        for j in range(n)
-    )
-
-
-def congruent_small(
-    f: SymmetricIntForm, g: SymmetricIntForm, coeff_bound: int
-) -> bool:
-    """Search for a unimodular U with entries in [-coeff_bound, coeff_bound]
-    such that U^T f U = g.
-
-    Only forms of rank <= 3 are supported; a False answer is conclusive
-    only within the bound.
-    """
-    if f.dim != g.dim:
-        raise DimensionMismatch(f"dim {f.dim} vs {g.dim}")
-    if f.dim > 3:
-        raise ValueError("bounded congruence search is limited to dim <= 3")
-    if coeff_bound < 1:
-        raise ValueError("coeff_bound must be >= 1")
-    if f.dim == 0:
-        return True
-    if f.determinant() != g.determinant():
-        return False
-    n = f.dim
-    coeffs = range(-coeff_bound, coeff_bound + 1)
-    for flat in itertools.product(coeffs, repeat=n * n):
-        u = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-        if _det(u) not in (1, -1):
-            continue
-        ok = True
-        for i in range(n):
-            for j in range(i, n):
-                entry = sum(
-                    u[k][i] * f.entries[k][l] * u[l][j]
-                    for k in range(n) for l in range(n)
-                )
-                if entry != g.entries[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False

@@ -15,9 +15,10 @@ dimensions match because a connected ``r``-region chessboard on an
 ``n``-crossing diagram has first Betti number ``n - r + 1``.
 
 All arithmetic is exact: inertia and determinant of a form both come from
-one rational symmetric congruence diagonalization with symmetric pivot
-swaps and hyperbolic 2x2 steps, run at most once per form, never from
-floating point.  Each diagram's two forms are built once per analysis.
+one fraction-free (Bareiss) symmetric elimination over the integers, with
+Jacobi's sign rule on the leading principal minors, run at most once per
+form, never from floating point.  Each diagram's two forms are built once
+per analysis.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 from .diagram import (
     Color,
@@ -72,6 +72,8 @@ class SymmetricIntForm:
         for row in self.entries:
             if len(row) != m:
                 raise ValueError("entries must be square")
+            if not all(isinstance(x, int) for x in row):
+                raise ValueError("entries must be integers")
         for i in range(m):
             for j in range(i):
                 if self.entries[i][j] != self.entries[j][i]:
@@ -105,65 +107,59 @@ class SymmetricIntForm:
 
 
 def _eliminate(entries: tuple[tuple[int, ...], ...]) -> tuple[int, int, int, int]:
-    """``(positive, negative, zero, determinant)`` from one symmetric
-    congruence diagonalization over the rationals.
+    """``(positive, negative, zero, determinant)`` from one fraction-free
+    (Bareiss) symmetric elimination over the integers.
 
-    Each nonzero diagonal pivot contributes its sign and its value.  A
-    zero diagonal with a nonzero off-diagonal entry ``b`` is handled as
-    a hyperbolic pair contributing (+1, -1) and ``-b**2``.  An all-zero
-    remainder is the kernel and makes the determinant 0.
+    After step ``k`` every remaining entry is a ``(k+1)``-minor, so each
+    division is exact, and the pivots are the leading principal minors
+    ``D_1, D_2, ...``; by Jacobi's rule the ``k``-th diagonal entry of
+    the congruent diagonal form has the sign of ``D_k * D_(k-1)``.  A zero
+    pivot is replaced by a symmetric swap with a nonzero diagonal entry,
+    or, when the whole remaining diagonal is zero, by the unimodular
+    congruence ``e_i += e_j`` on a nonzero ``a_ij``, which makes
+    ``a_ii = 2 * a_ij``; neither changes inertia or determinant.  An
+    all-zero remainder is the kernel and makes the determinant 0.
     """
     m = len(entries)
-    a = [[Fraction(x) for x in row] for row in entries]
-    pos = neg = zero = 0
-    det = Fraction(1)
+    a = [list(row) for row in entries]
+    pos = neg = 0
+    prev = 1
 
     def swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
         for row in a:
             row[i], row[j] = row[j], row[i]
 
-    k = 0
-    while k < m:
-        piv = next((i for i in range(k, m) if a[i][i] != 0), None)
-        if piv is not None:
-            if piv != k:
-                swap(k, piv)
-            d = a[k][k]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            det *= d
-            for i in range(k + 1, m):
-                for j in range(k + 1, m):
-                    a[i][j] -= a[i][k] * a[k][j] / d
-            k += 1
-            continue
-        off = next(
-            ((i, j) for i in range(k, m) for j in range(i + 1, m) if a[i][j] != 0),
-            None,
-        )
-        if off is None:
-            zero += m - k
-            det = Fraction(0)
-            break
-        i0, j0 = off
-        if i0 != k:
-            swap(k, i0)
-        if j0 != k + 1:
-            swap(k + 1, j0)
-        b = a[k][k + 1]
-        pos += 1
-        neg += 1
-        det *= -b * b
-        for i in range(k + 2, m):
-            for j in range(k + 2, m):
-                a[i][j] -= (a[i][k] * a[k + 1][j] + a[i][k + 1] * a[k][j]) / b
-        k += 2
-    if det.denominator != 1:
-        raise ArithmeticError(f"integer form has non-integer determinant {det}")
-    return pos, neg, zero, int(det)
+    for k in range(m):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, m) if a[i][i] != 0), None)
+            if piv is None:
+                off = next(((i, j) for i in range(k, m) for j in range(i + 1, m)
+                            if a[i][j] != 0), None)
+                if off is None:
+                    return pos, neg, m - k, 0
+                piv, j = off
+                for row in a:
+                    row[piv] += row[j]
+                a[piv] = [x + y for x, y in zip(a[piv], a[j])]
+            swap(k, piv)
+        p = a[k][k]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        rk = a[k]
+        for i in range(k + 1, m):
+            ri = a[i]
+            aik = ri[k]
+            for j in range(i, m):
+                q, r = divmod(p * ri[j] - aik * rk[j], prev)
+                if r:
+                    raise ArithmeticError(
+                        f"inexact Bareiss division by {prev} at step {k}")
+                ri[j] = a[j][i] = q
+        prev = p
+    return pos, neg, 0, prev
 
 
 def signature(f: SymmetricIntForm) -> tuple[int, int, int]:
@@ -352,11 +348,17 @@ class ValidationReport:
         return json.dumps(self.to_json(), indent=2)
 
 
-def _has_unit_self_pairing(f: SymmetricIntForm, bound: int = 2) -> bool:
+# Coordinate bound of the unit self-pairing search.
+_UNIT_SEARCH_BOUND = 2
+
+
+def _has_unit_self_pairing(f: SymmetricIntForm) -> bool:
     """Bounded search for an integer vector with self-pairing +-1.
 
-    Conclusive positives only; vectors range over [-bound, bound]^dim.
+    Conclusive positives only; vectors range over
+    ``[-_UNIT_SEARCH_BOUND, _UNIT_SEARCH_BOUND]^dim``.
     """
+    bound = _UNIT_SEARCH_BOUND
     if f.dim == 0:
         return False
     if any(abs(f.entries[i][i]) == 1 for i in range(f.dim)):
@@ -428,8 +430,8 @@ def check_identities(d: Diagram) -> ValidationReport:
     checks.append(CheckResult(
         "reduced_no_unit_self_pairing",
         reduced and not unit,
-        f"reduced={reduced}, unit self-pairing found={unit} "
-        "(bounded search over entries in [-2, 2])",
+        f"reduced={reduced}, unit self-pairing found={unit} (bounded search "
+        f"over entries in [-{_UNIT_SEARCH_BOUND}, {_UNIT_SEARCH_BOUND}])",
     ))
 
     det_b = forms[Color.BLACK].determinant()

@@ -128,10 +128,11 @@ def test_load_table_reports_bad_index(tmp_path):
         {"name": "ok2", "pd": [[1, 1, 2, 2]]},
         {"name": "broken", "pd": [[1, 2, 3]]},
         {"name": "boolean", "pd": [[True, 1, 2, 2]]},
+        {"name": "ok", "pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]},
     ]))
     with pytest.raises(SchemaError) as err:
         load_table(path)
-    assert err.value.indices == [2, 3]
+    assert err.value.indices == [2, 3, 4]
 
 
 def test_load_table_missing_file():

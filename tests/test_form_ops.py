@@ -1,14 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taitkit.form_ops import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    add_twists,
-    block_sum,
-    congruent_small,
-    restrict,
-)
+from taitkit.form_ops import IndexOutOfRange, add_twists, block_sum, restrict
 from taitkit.goeritz import Definiteness, SymmetricIntForm, definiteness
 
 
@@ -62,24 +55,6 @@ def test_restrict_examples():
         restrict(f, {5})
 
 
-def test_congruent_examples():
-    f = SymmetricIntForm.from_rows([[2, -1], [-1, 2]])
-    g = SymmetricIntForm.from_rows([[2, 1], [1, 2]])
-    assert congruent_small(f, f, 1)
-    assert congruent_small(f, g, 1)
-    assert not congruent_small(SymmetricIntForm.from_rows([[2]]),
-                               SymmetricIntForm.from_rows([[3]]), 2)
-    with pytest.raises(DimensionMismatch):
-        congruent_small(f, SymmetricIntForm.from_rows([[2]]), 1)
-
-
-def test_congruent_rejects_large_dims():
-    f = SymmetricIntForm.from_rows([[1 if i == j else 0 for j in range(4)]
-                                    for i in range(4)])
-    with pytest.raises(ValueError):
-        congruent_small(f, f, 1)
-
-
 @given(positive_forms(), positive_forms())
 @settings(max_examples=60, deadline=None)
 def test_block_sum_preserves_positive(f, g):
@@ -112,12 +87,3 @@ def test_restrict_preserves_positive(f, data):
 def test_restrict_preserves_negative(f):
     neg = SymmetricIntForm.from_rows([[-x for x in row] for row in f.entries])
     assert definiteness(restrict(neg, {0})) is Definiteness.NEGATIVE
-
-
-@given(positive_forms(max_dim=2), positive_forms(max_dim=2))
-@settings(max_examples=20, deadline=None)
-def test_congruence_needs_equal_determinant(f, g):
-    if f.dim != g.dim:
-        return
-    if f.determinant() != g.determinant():
-        assert not congruent_small(f, g, 1)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from taitkit.codecs import parse_gauss
 from taitkit.diagram import Color, color_chessboard, is_reduced, writhe
-from taitkit.form_ops import _det
 from taitkit.goeritz import (
     Definiteness,
     NotAlternating,
@@ -20,6 +19,23 @@ from taitkit.goeritz import (
     signature,
     slopes,
 )
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Cofactor-expansion determinant; an oracle independent of the
+    elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    return sum(
+        (-1) ** j * rows[0][j]
+        * _det([[rows[i][k] for k in range(n) if k != j] for i in range(1, n)])
+        for j in range(n)
+    )
 
 
 def oracle_definiteness(f: SymmetricIntForm, bound: int = 3) -> Definiteness:
@@ -89,6 +105,12 @@ def test_definiteness_examples():
     assert definiteness(SymmetricIntForm.from_rows([])) is Definiteness.POSITIVE
 
 
+@pytest.mark.parametrize("entries", [((1, 0),), ((0, 1), (2, 0)), ((0.5,),)])
+def test_form_rejects_bad_entries(entries):
+    with pytest.raises(ValueError):
+        SymmetricIntForm(entries)
+
+
 def test_singular_form_taking_both_signs_is_degenerate():
     f = SymmetricIntForm.from_rows([[1, -1, 1], [-1, 0, -1], [1, -1, 1]])
     assert signature(f) == (1, 1, 1)
@@ -100,6 +122,9 @@ def test_signature_hyperbolic_block():
     assert signature(SymmetricIntForm.from_rows([[0, 0], [0, 0]])) == (0, 0, 2)
     assert signature(SymmetricIntForm.from_rows(
         [[0, 2, 0], [2, 0, 0], [0, 0, -3]])) == (1, 2, 0)
+    # two shear steps, the second after the pivot -1
+    assert signature(SymmetricIntForm.from_rows(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])) == (2, 2, 0)
 
 
 def test_definiteness_matches_oracle_on_table_forms(table_diagrams):
@@ -129,12 +154,13 @@ def test_definiteness_matches_oracle_on_small_forms():
 
 
 @st.composite
-def small_symmetric_rows(draw):
-    """Symmetric rows of dim 3-4 with entries in [-3, 3], drawn in shapes
-    that reach every branch of the elimination: any entries, an all-zero
-    diagonal (hyperbolic steps), a repeated basis vector (two equal rows,
-    so singular) and a dominant diagonal (mostly definite)."""
-    dim = draw(st.integers(3, 4))
+def small_symmetric_rows(draw, min_dim=3, max_dim=6):
+    """Symmetric rows of dim ``min_dim``-``max_dim`` with entries in
+    [-3, 3], drawn in shapes that reach every branch of the elimination:
+    any entries, an all-zero diagonal (shear steps), a repeated basis
+    vector (two equal rows, so singular) and a dominant diagonal (mostly
+    definite)."""
+    dim = draw(st.integers(min_dim, max_dim))
     shape = draw(st.sampled_from(["any", "zero_diagonal", "repeated", "dominant"]))
     off = st.integers(-1, 1) if shape == "dominant" else st.integers(-3, 3)
     diagonal = draw(st.sampled_from([3, -3])) if shape == "dominant" else None
@@ -161,6 +187,7 @@ def small_symmetric_rows(draw):
 @example([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 @example([[-2, 1, 0, 0], [1, -2, 1, 1], [0, 1, -2, 0], [0, 1, 0, -2]])
 @example([[1, -1, 1], [-1, 0, -1], [1, -1, 1]])
+@example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 def test_elimination_matches_oracles_on_dim_3_and_4(rows):
     f = SymmetricIntForm.from_rows(rows)
     det = _det(rows)
@@ -169,8 +196,40 @@ def test_elimination_matches_oracles_on_dim_3_and_4(rows):
         # any kernel classifies the form Degenerate; the oracle calls a
         # singular form Indefinite when it takes both signs
         assert definiteness(f) is Definiteness.DEGENERATE
-    else:
+    elif len(rows) <= 4:
         assert definiteness(f) is oracle_definiteness(f)
+    else:
+        # the vector scan is too slow above dim 4: Sylvester's criterion
+        # on the cofactor leading minors instead
+        minors = [_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+        if all(x > 0 for x in minors):
+            expected = Definiteness.POSITIVE
+        elif all((-1) ** k * x > 0 for k, x in enumerate(minors, 1)):
+            expected = Definiteness.NEGATIVE
+        else:
+            expected = Definiteness.INDEFINITE
+        assert definiteness(f) is expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_symmetric_rows(1, 8), st.data())
+def test_elimination_invariant_under_integer_shears(rows, data):
+    dim = len(rows)
+    u = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    for _ in range(data.draw(st.integers(0, 6))):
+        i = data.draw(st.integers(0, dim - 1))
+        j = data.draw(st.integers(0, dim - 1))
+        if i == j:
+            continue
+        k = data.draw(st.integers(-2, 2))
+        for col in range(dim):
+            u[i][col] += k * u[j][col]
+    f = SymmetricIntForm.from_rows(rows)
+    g = SymmetricIntForm.from_rows(
+        [[sum(u[k][i] * rows[k][l] * u[l][j] for k in range(dim) for l in range(dim))
+          for j in range(dim)] for i in range(dim)])
+    assert signature(g) == signature(f)
+    assert g.determinant() == f.determinant()
 
 
 def test_beta1(trefoil, fig8):
