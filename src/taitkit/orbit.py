@@ -11,7 +11,12 @@ while it is built, and a root is abandoned at its first larger entry.
 
 ``flype_orbit`` closes a diagram under all flypes by breadth-first search
 with node and depth limits, deduplicating by canonical code and checking
-the invariant vector on every member.
+the invariant vector on every member.  The sites of one parent that share
+a ``(crossing, tangle)`` class give one child, so each class is rewritten
+and canonicalized once and its code is shared by all of its sites' edges.
+``is_flype_related`` runs the same search and stops when the target's
+code is admitted as a member; the limits count exactly as in the full
+search, so the verdict does not depend on the early stop.
 """
 
 from __future__ import annotations
@@ -185,56 +190,75 @@ def flype_orbit(d: Diagram, max_nodes: int = 1000, max_depth: int = 100,
     ``include_reflection`` merges mirror-image members (exploratory only;
     the default keeps mirror images distinct).
     """
-    return _orbit_search(d, invariant_vector(d), max_nodes, max_depth,
+    return _orbit_search(d, canonical_code(d, include_reflection),
+                         invariant_vector(d), max_nodes, max_depth,
                          include_reflection)
 
 
-def _orbit_search(d: Diagram, invariants: dict[str, int], max_nodes: int,
-                  max_depth: int, include_reflection: bool) -> OrbitReport:
-    """``flype_orbit`` with the seed's invariant vector already computed."""
+def _orbit_search(d: Diagram, seed_code: CanonicalCode, invariants: dict[str, int],
+                  max_nodes: int, max_depth: int, include_reflection: bool,
+                  target: CanonicalCode | None = None) -> OrbitReport:
+    """``flype_orbit`` with the seed's code and invariant vector already
+    computed.
 
-    def code_of(diagram: Diagram) -> CanonicalCode:
-        return canonical_code(diagram, include_reflection=include_reflection)
-
-    seed_code = code_of(d)
-    members: dict[CanonicalCode, Diagram] = {seed_code: d}
+    A parent's sites are grouped by ``(crossing, tangle)``: only the first
+    site of each group is applied and canonicalized, and every site of the
+    group gets that child's code.  With ``target``, the search returns as
+    soon as that code is admitted as a member, after the ``max_nodes``
+    check and that member's invariant check; the report then holds what
+    was found so far.
+    """
+    members = {seed_code}
     edges: set[tuple[CanonicalCode, CanonicalCode, FlypeSite]] = set()
     frontier = [(seed_code, d)]
     depth = 0
     truncated = False
+
+    def report() -> OrbitReport:
+        return OrbitReport(
+            seeds=(seed_code,),
+            members=tuple(sorted(members)),
+            edges=tuple(sorted(edges, key=lambda e: (e[0], e[1], e[2].crossing,
+                                                     e[2].cut_edges, e[2].side))),
+            invariants=invariants,
+            truncated=truncated,
+            max_nodes=max_nodes,
+            max_depth=max_depth,
+        )
+
     while frontier and not truncated:
         if depth >= max_depth:
             truncated = True
             break
         next_frontier = []
         for code, diagram in frontier:
+            class_code: dict[tuple[int, frozenset[int]], CanonicalCode] = {}
             for site in find_flype_sites(diagram):
-                child = apply_flype(diagram, site)
-                child_code = code_of(child)
+                key = (site.crossing, site.tangle)
+                child_code = class_code.get(key)
+                if child_code is None:
+                    child = apply_flype(diagram, site)
+                    child_code = class_code[key] = canonical_code(
+                        child, include_reflection)
                 edges.add((code, child_code, site))
                 if child_code in members:
                     continue
                 if len(members) >= max_nodes:
                     truncated = True
                     continue
+                # a class's code can only be admitted at its first site,
+                # so ``child`` is that site's rewrite
                 child_inv = invariant_vector(child)
                 if child_inv != invariants:
                     raise RuntimeError(
                         f"flype broke invariants: {invariants} -> {child_inv}")
-                members[child_code] = child
+                members.add(child_code)
+                if child_code == target:
+                    return report()
                 next_frontier.append((child_code, child))
         frontier = next_frontier
         depth += 1
-    return OrbitReport(
-        seeds=(seed_code,),
-        members=tuple(sorted(members)),
-        edges=tuple(sorted(edges, key=lambda e: (e[0], e[1], e[2].crossing,
-                                                 e[2].cut_edges, e[2].side))),
-        invariants=invariants,
-        truncated=truncated,
-        max_nodes=max_nodes,
-        max_depth=max_depth,
-    )
+    return report()
 
 
 class Relation(Enum):
@@ -268,8 +292,12 @@ def is_flype_related(
 ) -> FlypeRelation:
     """Decide flype-relatedness: invariant fast rejection, then orbit BFS.
 
-    ``NOT_RELATED_WITHIN`` is definitive only when the orbit search
-    completed without truncation.
+    The search from ``d1`` rewrites once per ``(crossing, tangle)`` class
+    and returns ``RELATED`` as soon as ``d2``'s code is admitted as a
+    member: after the ``max_nodes`` check and that member's invariant
+    check, so every limit gives the verdict the full ``flype_orbit`` of
+    ``d1`` would.  ``NOT_RELATED_WITHIN`` is definitive only when the
+    orbit search completed without truncation.
     """
     _require_preconditions(d1)
     _require_preconditions(d2)
@@ -277,11 +305,12 @@ def is_flype_related(
     for key in inv1:
         if inv1[key] != inv2[key]:
             return FlypeRelation(Relation.DISTINGUISHED, invariant=key)
-    target = canonical_code(d2)
-    if canonical_code(d1) == target:
+    seed, target = canonical_code(d1), canonical_code(d2)
+    if seed == target:
         return FlypeRelation(Relation.RELATED)
-    report = _orbit_search(d1, inv1, max_nodes, max_depth, include_reflection=False)
-    if target in set(report.members):
+    report = _orbit_search(d1, seed, inv1, max_nodes, max_depth,
+                           include_reflection=False, target=target)
+    if target in report.members:
         return FlypeRelation(Relation.RELATED)
     return FlypeRelation(Relation.NOT_RELATED_WITHIN, truncated=report.truncated,
                          explored=report.size)

@@ -101,6 +101,13 @@ def test_flype_check_inconclusive_under_adversarial_limits(capsys):
     assert "NotRelatedWithin" in capsys.readouterr().out
 
 
+def test_flype_check_related_at_smallest_sufficient_limit(capsys):
+    code = run(["flype-check", "--input", TABLE_PATH,
+                "--a", "8_8", "--b", "8_8-flyped", "--max-nodes", "2"])
+    assert code == 0
+    assert "Related" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit", "--name", "8_8", "--max-nodes", "-1"],
     ["orbit", "--name", "8_8", "--max-depth", "-3"],

@@ -6,6 +6,7 @@ takes the minimum.  Both are the definitions the library's versions
 (the face criterion and the early-exit code search) must agree with.
 """
 
+import collections
 import itertools
 
 import pytest
@@ -139,6 +140,26 @@ def test_flype_children(table_diagrams):
                 for site in find_flype_sites(d)]
     assert len(children) > 1000
     check_against_references(children)
+
+
+def test_site_classes_give_one_child(table_diagrams):
+    """The orbit search rewrites one site per ``(crossing, tangle)`` class
+    and gives its code to every site of the class; here every site of every
+    class with more than one is applied."""
+    diagrams = [d for d in list(table_diagrams.values()) + CONSTRUCTED
+                if is_alternating(d)]
+    sites = classes = 0
+    for d in diagrams + [mirror_diagram(d) for d in diagrams]:
+        by_class = collections.defaultdict(list)
+        for site in find_flype_sites(d):
+            by_class[(site.crossing, site.tangle)].append(site)
+            sites += 1
+        for members in by_class.values():
+            if len(members) > 1:
+                classes += 1
+                codes = {canonical_code(apply_flype(d, site)) for site in members}
+                assert len(codes) == 1, (d, members)
+    assert sites > 7000 and classes > 1000
 
 
 def test_connected_sums_are_not_prime(sums):

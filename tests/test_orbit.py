@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from taitkit.construct import montesinos_diagram
 from taitkit.diagram import (
     Diagram,
     build_from_crossing_list,
@@ -155,6 +156,31 @@ def test_related_tagged_pairs(table, table_diagrams):
         rel = is_flype_related(table_diagrams[original],
                                table_diagrams[variant], max_nodes=10_000)
         assert rel.verdict is Relation.RELATED, (original, variant)
+
+
+@pytest.mark.parametrize("max_depth", [1, 1000])
+def test_early_exit_keeps_full_orbit_verdict(table, table_diagrams, max_depth):
+    """``is_flype_related`` stops once the target is admitted; at every node
+    limit up to one past the orbit size its verdict is the one read off the
+    full ``flype_orbit``."""
+    pairs = [(table_diagrams[doc.tags["same_as"]], table_diagrams[doc.name])
+             for doc in table if "same_as" in doc.tags]
+    assert len(pairs) == 15
+    pairs.append((montesinos_diagram([[2], [3], [2], [3]]),
+                  montesinos_diagram([[2], [2], [3], [3]])))
+    for a, b in pairs:
+        target = canonical_code(b)
+        size = flype_orbit(a, max_depth=max_depth).size
+        for k in range(1, size + 2):
+            report = flype_orbit(a, max_nodes=k, max_depth=max_depth)
+            rel = is_flype_related(a, b, max_nodes=k, max_depth=max_depth)
+            if target in report.members:
+                assert rel.verdict is Relation.RELATED
+            else:
+                assert rel.verdict is Relation.NOT_RELATED_WITHIN
+                assert (rel.explored, rel.truncated) == (report.size, report.truncated)
+    # the mutant pair, past its orbit size: exhaustive, hence conclusive
+    assert rel.verdict is Relation.NOT_RELATED_WITHIN and not rel.truncated
 
 
 def test_not_related_exhaustive(table_diagrams):
